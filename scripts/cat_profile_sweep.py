@@ -28,6 +28,7 @@ from spincat import (
     squeezed_state_exact,
     to_quadrature,
 )
+from spincat.state import effective_max_index
 
 
 def invert_mu(mu, beta, xi2):
@@ -41,7 +42,7 @@ def run_sweep(xi2, beta, mu_values):
         p_r = invert_mu(mu, beta, xi2)
         n_max = choose_truncation(xi2, beta, mu, 1e-10)
         cat = apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, p_r)
-        grid = default_cat_grid(mu)
+        grid = default_cat_grid(mu, effective_max_index(cat))
         p_wf = riemann_normalize(to_quadrature(cat, grid, Basis.P))
         x_wf = riemann_normalize(to_quadrature(cat, grid, Basis.X))
 

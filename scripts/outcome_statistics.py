@@ -30,7 +30,7 @@ def main():
     state = squeezed_state_exact(
         args.xi2, choose_truncation(args.xi2, args.beta, 0.0, 1e-10))
     rng = RandomSource(args.seed)
-    draws = np.array([sample_second_outcome(state, args.beta, rng).value
+    draws = np.array([sample_second_outcome(state, args.beta, rng)
                       for _ in range(args.count)])
 
     lo, hi = np.quantile(draws, [0.001, 0.999])

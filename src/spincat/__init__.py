@@ -26,15 +26,10 @@ from .feasibility import (
     PRESETS,
     ExperimentalParams,
     FeasibilityReport,
-    SampleGeometry,
     evaluate_scenario,
 )
 from .protocol import (
-    MeasurementOutcome,
-    MeasurementStep,
-    NumberQndParams,
     ProtocolTrace,
-    SqueezeParams,
     alpha_from_xi2,
     apply_number_qnd,
     conditional_first_step,
@@ -57,7 +52,6 @@ from .state import (
     fourier_pair,
     grid_for_state,
     hermite_basis,
-    hermite_osc_eigenfunction,
     mean_occupation,
     norm,
     normalize,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -47,6 +48,7 @@ from .state import (
     RandomSource,
     choose_truncation,
     default_cat_grid,
+    effective_max_index,
     grid_for_state,
     mean_occupation,
     riemann_normalize,
@@ -206,8 +208,11 @@ def _require_number(problems, merged, key, kind=float, minimum=None,
         return None
     try:
         value = kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         problems.append(f"{key} must be a number, got {value!r}")
+        return None
+    if not math.isfinite(value):
+        problems.append(f"{key} must be finite, got {value}")
         return None
     if minimum is not None and (value <= minimum if strict else value < minimum):
         op = ">" if strict else ">="
@@ -261,6 +266,8 @@ def _config_cat(args) -> CatConfig:
     _require_number(problems, merged, "beta", strict=True, minimum=0.0)
     _require_seed(problems, merged)
     _require_number(problems, merged, "tail_tol", strict=True, minimum=0.0)
+    _require_number(problems, merged, "pr", required=False)
+    _require_number(problems, merged, "pr_over_beta", required=False)
     sources = sum([merged["pr"] is not None, merged["pr_over_beta"] is not None,
                    bool(merged["sample"])])
     if sources != 1:
@@ -400,8 +407,8 @@ def run_cat(cfg: CatConfig) -> dict:
     rng = RandomSource(cfg.seed)
     p_P = None
     if cfg.sample:
-        p_P = sample_first_outcome(alpha, rng).value
-        p_R = sample_second_outcome(base_state, cfg.beta, rng).value
+        p_P = sample_first_outcome(alpha, rng)
+        p_R = sample_second_outcome(base_state, cfg.beta, rng)
     elif cfg.pr is not None:
         p_R = cfg.pr
     else:
@@ -419,7 +426,7 @@ def run_cat(cfg: CatConfig) -> dict:
         raise
 
     if mu_exact > 0.0:
-        fallback = default_cat_grid(mu_exact)
+        fallback = default_cat_grid(mu_exact, effective_max_index(cat_state))
     else:
         fallback = grid_for_state(cat_state)
     grid = _output_grid(cfg, fallback)
@@ -487,8 +494,8 @@ def run_trajectories(cfg: TrajectoriesConfig) -> dict:
     n_resolvable = 0
     for i in range(cfg.count):
         rng = RandomSource.for_trajectory(cfg.seed, i)
-        p_p = sample_first_outcome(alpha, rng).value
-        p_r = sample_second_outcome(squeezed, cfg.beta, rng).value
+        p_p = sample_first_outcome(alpha, rng)
+        p_r = sample_second_outcome(squeezed, cfg.beta, rng)
         mu_exact, mu_approx = mu_of_outcome(p_r, cfg.beta, cfg.xi2)
         resolvable, reachable, combined = check_cat_conditions(
             mu_exact, cfg.beta, cfg.xi2)

@@ -58,27 +58,6 @@ class ExperimentalParams:
 
 
 @dataclass(frozen=True)
-class SampleGeometry:
-    """Cylindrical sample: depth = cross_section * density * length."""
-
-    cross_section: float   # cm^2
-    area: float            # cm^2
-    density: float         # cm^-3
-    length: float          # cm
-
-    def __post_init__(self):
-        for name in ("cross_section", "area", "density", "length"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
-
-    def resonant_depth(self) -> float:
-        return self.cross_section * self.density * self.length
-
-    def atom_count(self) -> float:
-        return self.density * self.area * self.length
-
-
-@dataclass(frozen=True)
 class FeasibilityReport:
     kappa_detuned: float
     theta_detuned: float

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import gammaln
@@ -39,51 +38,6 @@ from .state import (
 )
 
 _LOG_IMPROBABLE = math.log(1e-300)
-
-
-class MeasurementStep(str, Enum):
-    FIRST = "first"
-    SECOND = "second"
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    value: float
-    step: MeasurementStep
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise DomainError(f"measurement outcome must be finite, got {self.value}")
-
-
-@dataclass(frozen=True)
-class SqueezeParams:
-    """First-step coupling; xi2 = alpha**2 + 1 holds by construction."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise DomainError(f"alpha must be finite and >= 0, got {self.alpha}")
-
-    @property
-    def xi2(self) -> float:
-        return self.alpha * self.alpha + 1.0
-
-    @classmethod
-    def from_xi2(cls, xi2: float) -> "SqueezeParams":
-        return cls(alpha_from_xi2(xi2))
-
-
-@dataclass(frozen=True)
-class NumberQndParams:
-    """Second-step coupling strength."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(f"beta must be finite and positive, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -168,10 +122,10 @@ def conditional_first_step(alpha: float, p_P: float, grid: QuadratureGrid) -> Qu
     return riemann_normalize(QuadratureWavefunction(grid, values, Basis.X))
 
 
-def sample_first_outcome(alpha: float, rng: RandomSource) -> MeasurementOutcome:
+def sample_first_outcome(alpha: float, rng: RandomSource) -> float:
     """Marginal outcome law of the first step: p_P ~ N(0, (1+alpha**2)/2)."""
     scale = np.sqrt((1.0 + alpha * alpha) / 2.0)
-    return MeasurementOutcome(rng.normal(0.0, scale), MeasurementStep.FIRST)
+    return rng.normal(0.0, scale)
 
 
 def apply_number_qnd(state: NumberState, beta: float, p_R: float) -> NumberState:
@@ -220,7 +174,7 @@ def outcome_density_second(state: NumberState, beta: float):
     return density
 
 
-def sample_second_outcome(state: NumberState, beta: float, rng: RandomSource) -> MeasurementOutcome:
+def sample_second_outcome(state: NumberState, beta: float, rng: RandomSource) -> float:
     """Exact two-stage sampling: n with probability |c_n|**2, then
     p_R ~ N(beta*n, 1/2)."""
     weights = np.abs(state.amplitudes) ** 2
@@ -228,8 +182,7 @@ def sample_second_outcome(state: NumberState, beta: float, rng: RandomSource) ->
     cum /= cum[-1]
     idx = int(np.searchsorted(cum, rng.uniform(), side="right"))
     idx = min(idx, state.n_max)
-    value = rng.normal(beta * idx, np.sqrt(0.5))
-    return MeasurementOutcome(value, MeasurementStep.SECOND)
+    return rng.normal(beta * idx, np.sqrt(0.5))
 
 
 def mu_of_outcome(p_R: float, beta: float, xi2: float) -> tuple[float, float]:

@@ -10,6 +10,10 @@ Conventions used throughout:
 * the x representation is *defined* as the continuous Fourier transform
   of the p representation with kernel exp(i*x*p)/sqrt(2*pi), so applying
   the transform twice reflects a wavefunction through the origin;
+* that kernel maps phi_n(p) to i**n phi_n(x), so the x representation is
+  *computed* by the same recurrence sum as p with coefficients a_n i**n;
+  the discretized transform survives only in `fourier_pair`, the
+  independent check of that identity;
 * continuous integrals are midpoint Riemann sums on uniform grids.
 """
 
@@ -144,49 +148,36 @@ class RandomSource:
 # oscillator eigenfunctions
 
 
-def hermite_osc_eigenfunction(n: int, u: float) -> float:
-    """Normalized harmonic-oscillator eigenfunction phi_n(u).
-
-    Uses the recurrence
+def _hermite_rows(n_max: int, u: np.ndarray):
+    """Yield phi_0(u), phi_1(u), ..., phi_{n_max}(u), the normalized
+    oscillator eigenfunctions at the points `u`, from the recurrence
         phi_{n+1} = u*sqrt(2/(n+1))*phi_n - sqrt(n/(n+1))*phi_{n-1}
-    with the Gaussian weight folded into phi_0, which is stable to
-    n ~ 2000 in double precision.
-    """
-    if n < 0 or n != int(n):
-        raise DomainError(f"eigenfunction index must be a non-negative integer, got {n}")
-    if n > HERMITE_N_BUDGET:
+    with the Gaussian weight folded into phi_0.  Only two rows live at a
+    time.  The recurrence is stable to n = HERMITE_N_BUDGET in double
+    precision; larger indices are refused."""
+    if n_max < 0 or n_max != int(n_max):
+        raise DomainError(f"eigenfunction index must be a non-negative integer, got {n_max}")
+    if n_max > HERMITE_N_BUDGET:
         raise DomainError(
-            f"eigenfunction index {n} exceeds the recurrence stability budget "
+            f"eigenfunction index {n_max} exceeds the recurrence stability budget "
             f"{HERMITE_N_BUDGET}"
         )
-    if not np.isfinite(u):
-        raise DomainError(f"evaluation point must be finite, got {u}")
+    if not np.all(np.isfinite(u)):
+        raise DomainError("evaluation points must be finite")
     prev = np.pi ** -0.25 * np.exp(-u * u / 2.0)
-    if n == 0:
-        return float(prev)
+    yield prev
+    if n_max == 0:
+        return
     cur = np.sqrt(2.0) * u * prev
-    for k in range(2, n + 1):
-        prev, cur = cur, u * np.sqrt(2.0 / k) * cur - np.sqrt((k - 1) / k) * prev
-    return float(cur)
+    yield cur
+    for n in range(2, n_max + 1):
+        prev, cur = cur, u * np.sqrt(2.0 / n) * cur - np.sqrt((n - 1) / n) * prev
+        yield cur
 
 
 def hermite_basis(n_max: int, u: np.ndarray) -> np.ndarray:
-    """Matrix phi[n, k] = phi_n(u_k) for n = 0 .. n_max, same recurrence as
-    `hermite_osc_eigenfunction` vectorized over the evaluation points."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be non-negative, got {n_max}")
-    if n_max > HERMITE_N_BUDGET:
-        raise DomainError(
-            f"n_max {n_max} exceeds the recurrence stability budget {HERMITE_N_BUDGET}"
-        )
-    u = np.asarray(u, dtype=float)
-    out = np.empty((n_max + 1, u.size))
-    out[0] = np.pi ** -0.25 * np.exp(-u * u / 2.0)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * u * out[0]
-    for n in range(2, n_max + 1):
-        out[n] = u * np.sqrt(2.0 / n) * out[n - 1] - np.sqrt((n - 1) / n) * out[n - 2]
-    return out
+    """Matrix phi[n, k] = phi_n(u_k) for n = 0 .. n_max."""
+    return np.stack(list(_hermite_rows(n_max, np.asarray(u, dtype=float))))
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +263,18 @@ def _next_pow2(value: float) -> int:
     return count
 
 
-def default_cat_grid(mu: float) -> QuadratureGrid:
+def default_cat_grid(mu: float, n_eff: int = 0) -> QuadratureGrid:
     """Default symmetric grid for a cat state of mean flip number mu:
     range +-(sqrt(2 mu) + 8), smallest power-of-two point count giving at
-    least 16 points per fringe period 2 pi / sqrt(2 mu)."""
+    least 16 points per fringe period 2 pi / sqrt(2 mu) and a spacing
+    within the `to_quadrature` resolution bound pi / sqrt(2 n_eff + 1)
+    for a state occupied up to n = n_eff."""
     if mu <= 0:
         raise DomainError(f"cat grid needs mu > 0, got {mu}")
     half = np.sqrt(2.0 * mu) + 8.0
     period = 2.0 * np.pi / np.sqrt(2.0 * mu)
-    count = _next_pow2(1.0 + 2.0 * half / (period / 16.0))
+    spacing = min(period / 16.0, np.pi / np.sqrt(2.0 * n_eff + 1.0))
+    count = _next_pow2(1.0 + 2.0 * half / spacing)
     return QuadratureGrid(-half, half, count)
 
 
@@ -297,6 +291,9 @@ def grid_for_state(state: NumberState, points_per_wave: int = 16, margin: float 
 
 # ---------------------------------------------------------------------------
 # basis transforms
+
+# i**n by n mod 4, exact in every component.
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 def _continuous_ft(values: np.ndarray, pts_in: np.ndarray, spacing: float,
@@ -318,10 +315,13 @@ def to_quadrature(state: NumberState, grid: QuadratureGrid, basis: Basis) -> Qua
     """Expand a number state on a quadrature grid.
 
     P basis: values[k] = sum_n a_n phi_n(p_k).  X basis: the continuous
-    Fourier transform of the P representation, computed on an internal
-    grid sized to the state's occupancy and evaluated at the requested
-    points.  The output is *not* renormalized; for states fully covered
-    by the grid the Riemann norm reproduces the number-basis norm.
+    Fourier transform of the P representation, which the kernel
+    exp(i*x*p)/sqrt(2*pi) maps term by term to
+    values[k] = sum_n a_n i**n phi_n(x_k), so both bases are the same
+    recurrence sum and no transform is evaluated (`fourier_pair` computes
+    the transform itself and serves as the independent check).  The
+    output is *not* renormalized; for states fully covered by the grid
+    the Riemann norm reproduces the number-basis norm.
     """
     basis = Basis(basis)
     if not np.any(state.amplitudes):
@@ -333,42 +333,14 @@ def to_quadrature(state: NumberState, grid: QuadratureGrid, basis: Basis) -> Qua
             f"grid spacing {grid.spacing:.4g} exceeds the resolution bound "
             f"{np.pi / k_max:.4g} for occupancy n_eff={n_eff}"
         )
-    if basis is Basis.P:
-        values = _number_to_p(state.amplitudes, n_eff, grid.points())
-        return QuadratureWavefunction(grid, values, Basis.P)
-
-    # X basis: P representation on an internal grid, then Fourier.
-    x_pts = grid.points()
-    half_in = k_max + 8.0
-    spacing_in = min(np.pi / (8.0 * k_max),
-                     np.pi / (np.max(np.abs(x_pts)) + k_max))
-    count_in = _next_pow2(1.0 + 2.0 * half_in / spacing_in)
-    inner = QuadratureGrid(-half_in, half_in, count_in)
-    p_pts = inner.points()
-    p_values = _number_to_p(state.amplitudes, n_eff, p_pts)
-    values = _continuous_ft(p_values, p_pts, inner.spacing, x_pts)
-    return QuadratureWavefunction(grid, values, Basis.X)
-
-
-def _number_to_p(amplitudes: np.ndarray, n_eff: int, pts: np.ndarray) -> np.ndarray:
-    if n_eff > HERMITE_N_BUDGET:
-        raise DomainError(
-            f"state occupancy n_eff={n_eff} exceeds the recurrence budget "
-            f"{HERMITE_N_BUDGET}"
-        )
-    # Running recurrence; only two basis rows live at a time.
-    values = np.zeros(pts.size, dtype=complex)
-    prev = np.pi ** -0.25 * np.exp(-pts * pts / 2.0)
-    values += amplitudes[0] * prev
-    if n_eff == 0:
-        return values
-    cur = np.sqrt(2.0) * pts * prev
-    values += amplitudes[1] * cur
-    for n in range(2, n_eff + 1):
-        prev, cur = cur, pts * np.sqrt(2.0 / n) * cur - np.sqrt((n - 1) / n) * prev
-        if amplitudes[n] != 0.0:
-            values += amplitudes[n] * cur
-    return values
+    coeffs = state.amplitudes[:n_eff + 1]
+    if basis is Basis.X:
+        coeffs = coeffs * _I_POWERS[np.arange(n_eff + 1) % 4]
+    values = np.zeros(grid.count, dtype=complex)
+    for a, row in zip(coeffs, _hermite_rows(n_eff, grid.points())):
+        if a != 0.0:
+            values += a * row
+    return QuadratureWavefunction(grid, values, basis)
 
 
 def fourier_pair(wf: QuadratureWavefunction) -> QuadratureWavefunction:

@@ -201,7 +201,7 @@ def test_criterion_8_sampling_statistics(tmp_path):
     start = time.perf_counter()
     state = squeezed_state_exact(XI2, 230)
     rng = RandomSource(20_260_809)
-    draws = np.array([sample_second_outcome(state, BETA, rng).value
+    draws = np.array([sample_second_outcome(state, BETA, rng)
                       for _ in range(100_000)])
     stat, dof = chi_square_vs_mixture(draws, state.amplitudes, BETA,
                                       np.linspace(-3.0, 25.0, 57))

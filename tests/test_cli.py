@@ -45,8 +45,9 @@ def test_squeeze_vacuum(tmp_path, capsys):
     assert "squeeze_stirling_state" not in result["files"]
 
 
-def test_squeeze_invalid_xi2_is_config_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "squeeze", "--xi2", "0.5",
+@pytest.mark.parametrize("xi2", ["0.5", "nan", "inf"])
+def test_squeeze_invalid_xi2_is_config_error(tmp_path, capsys, xi2):
+    code, out, err = run_cli(capsys, "squeeze", "--xi2", xi2,
                              "--out-dir", str(tmp_path))
     assert code == 2
     assert out == ""
@@ -123,6 +124,27 @@ def test_cat_requires_exactly_one_outcome_source(tmp_path, capsys):
                            "--out-dir", str(tmp_path))
     assert code == 2
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--beta", "inf", "--pr-over-beta", "7"],
+    ["--beta", "0.3", "--pr", "nan"],
+], ids=["beta-inf", "pr-nan"])
+def test_cat_rejects_non_finite_numbers(tmp_path, capsys, flags):
+    code, out, err = run_cli(capsys, "cat", "--xi2", "20", *flags,
+                             "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_cat_sampled_small_mu_is_resolved(tmp_path, capsys):
+    # Seed 44 draws a small positive mu, whose fringe-sized default grid
+    # alone is too coarse for the state's occupancy.
+    code, out, _ = run_cli(capsys, "cat", "--xi2", "20", "--beta", "0.3333",
+                           "--sample", "--seed", "44", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert 0.0 < stdout_json(out)["metrics"]["mu_exact"] < 2.0
 
 
 def test_cat_rejects_negative_seed(tmp_path, capsys):

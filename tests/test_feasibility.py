@@ -8,7 +8,6 @@ from spincat import (
     DomainError,
     ExperimentalParams,
     PRESETS,
-    SampleGeometry,
     evaluate_scenario,
 )
 from spincat.feasibility import (
@@ -232,11 +231,3 @@ def test_experimental_params_validation():
     with pytest.raises(DomainError):
         ExperimentalParams(kappa0=1.0, gamma=1.0, delta=5.0,
                            n_atoms=10, n_photons=10.0)
-
-
-def test_sample_geometry():
-    geom = SampleGeometry(cross_section=1e-9, area=1e-6, density=1e15, length=1e-2)
-    assert geom.resonant_depth() == pytest.approx(1e4, rel=1e-12)
-    assert geom.atom_count() == pytest.approx(1e7, rel=1e-12)
-    with pytest.raises(DomainError):
-        SampleGeometry(cross_section=0.0, area=1.0, density=1.0, length=1.0)

@@ -9,12 +9,9 @@ from spincat import (
     Basis,
     DomainError,
     ImprobableOutcomeError,
-    MeasurementStep,
-    NumberQndParams,
     NumberState,
     QuadratureGrid,
     RandomSource,
-    SqueezeParams,
     alpha_from_xi2,
     apply_number_qnd,
     choose_truncation,
@@ -47,15 +44,6 @@ def test_alpha_from_xi2():
     assert alpha_from_xi2(20.0) == pytest.approx(np.sqrt(19.0), abs=1e-12)
     with pytest.raises(DomainError):
         alpha_from_xi2(0.5)
-
-
-def test_squeeze_params_identity():
-    params = SqueezeParams.from_xi2(20.0)
-    assert params.xi2 == params.alpha ** 2 + 1.0
-    with pytest.raises(DomainError):
-        SqueezeParams(-1.0)
-    with pytest.raises(DomainError):
-        NumberQndParams(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +164,18 @@ def test_conditional_first_step_requires_covering_grid():
 def test_sample_first_outcome_statistics():
     rng = RandomSource(42)
     alpha = np.sqrt(19.0)
-    draws = np.array([sample_first_outcome(alpha, rng).value for _ in range(100_000)])
+    draws = np.array([sample_first_outcome(alpha, rng) for _ in range(100_000)])
     assert draws.var() == pytest.approx(10.0, rel=0.03)
     assert draws.mean() == pytest.approx(0.0, abs=0.05)
 
     one = sample_first_outcome(0.0, RandomSource(42))
     two = sample_first_outcome(0.0, RandomSource(42))
-    assert one.value == two.value
-    assert one.step is MeasurementStep.FIRST
+    assert one == two
 
 
 def test_sample_first_outcome_uncoupled_variance():
     rng = RandomSource(3)
-    draws = np.array([sample_first_outcome(0.0, rng).value for _ in range(50_000)])
+    draws = np.array([sample_first_outcome(0.0, rng) for _ in range(50_000)])
     assert draws.var() == pytest.approx(0.5, rel=0.03)
 
 
@@ -264,7 +251,7 @@ def test_outcome_density_normalization_and_mean():
 def test_sample_second_outcome_vacuum_law():
     rng = RandomSource(11)
     state = NumberState(np.array([1.0]))
-    draws = np.array([sample_second_outcome(state, 1.0, rng).value
+    draws = np.array([sample_second_outcome(state, 1.0, rng)
                       for _ in range(100_000)])
     result = kstest(draws, "norm", args=(0.0, np.sqrt(0.5)))
     assert result.pvalue > 0.01
@@ -273,7 +260,7 @@ def test_sample_second_outcome_vacuum_law():
 def test_sample_second_outcome_matches_mixture():
     state = squeezed_state_exact(20.0, 230)
     rng = RandomSource(1234)
-    draws = np.array([sample_second_outcome(state, BETA_FIG, rng).value
+    draws = np.array([sample_second_outcome(state, BETA_FIG, rng)
                       for _ in range(100_000)])
     stat, dof = chi_square_vs_mixture(draws, state.amplitudes, BETA_FIG,
                                       np.linspace(-3.0, 25.0, 57))
@@ -284,8 +271,7 @@ def test_sample_second_outcome_reproducible():
     state = squeezed_state_exact(20.0, 230)
     a = sample_second_outcome(state, BETA_FIG, RandomSource(5))
     b = sample_second_outcome(state, BETA_FIG, RandomSource(5))
-    assert a.value == b.value
-    assert a.step is MeasurementStep.SECOND
+    assert a == b
 
 
 # ---------------------------------------------------------------------------

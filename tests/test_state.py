@@ -17,7 +17,6 @@ from spincat import (
     fourier_pair,
     grid_for_state,
     hermite_basis,
-    hermite_osc_eigenfunction,
     mean_occupation,
     norm,
     normalize,
@@ -46,18 +45,22 @@ def vacuum(n_max=0):
 # oscillator eigenfunctions
 
 
+def eigenfunction(n, u):
+    return hermite_basis(n, [u])[n, 0]
+
+
 def test_eigenfunction_ground_state_at_origin():
-    assert hermite_osc_eigenfunction(0, 0.0) == pytest.approx(np.pi ** -0.25, abs=1e-14)
+    assert eigenfunction(0, 0.0) == pytest.approx(np.pi ** -0.25, abs=1e-14)
 
 
 def test_eigenfunction_odd_parity_at_origin():
-    assert hermite_osc_eigenfunction(1, 0.0) == 0.0
+    assert eigenfunction(1, 0.0) == 0.0
 
 
 def test_eigenfunction_n2_at_origin():
     # closed form pi^(-1/4) * 8^(-1/2) * H_2(0) with H_2(0) = -2
     expected = -2.0 * np.pi ** -0.25 / np.sqrt(8.0)
-    assert hermite_osc_eigenfunction(2, 0.0) == pytest.approx(expected, abs=1e-14)
+    assert eigenfunction(2, 0.0) == pytest.approx(expected, abs=1e-14)
 
 
 @given(n=st.integers(0, 10), u=st.floats(-5.0, 5.0))
@@ -69,16 +72,16 @@ def test_eigenfunction_matches_direct_formula(n, u):
     from math import factorial
     direct = (np.pi ** -0.25 / np.sqrt(2.0 ** n * factorial(n))
               * np_hermite.hermval(u, coeffs) * np.exp(-u * u / 2.0))
-    assert hermite_osc_eigenfunction(n, u) == pytest.approx(direct, abs=1e-10)
+    assert eigenfunction(n, u) == pytest.approx(direct, abs=1e-10)
 
 
 def test_eigenfunction_budget_and_domain_errors():
     with pytest.raises(DomainError):
-        hermite_osc_eigenfunction(2001, 0.0)
+        eigenfunction(2001, 0.0)
     with pytest.raises(DomainError):
-        hermite_osc_eigenfunction(-1, 0.0)
+        eigenfunction(-1, 0.0)
     with pytest.raises(DomainError):
-        hermite_osc_eigenfunction(3, np.inf)
+        eigenfunction(3, np.inf)
 
 
 def test_orthonormality_riemann():
@@ -252,6 +255,18 @@ def test_basis_consistency_even_states():
     via_x = to_quadrature(state, grid, Basis.X)
     via_ft = fourier_pair(to_quadrature(state, grid, Basis.P))
     assert np.max(np.abs(via_x.values - via_ft.values)) < 1e-6
+
+
+def test_basis_consistency_odd_components():
+    # Odd n is where i**n and (-i)**n differ, so this pins the phase of
+    # the x expansion against the transform it stands for.
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=24) + 1j * rng.normal(size=24)
+    state = normalize(NumberState(amps))
+    grid = grid_for_state(state)
+    via_x = to_quadrature(state, grid, Basis.X)
+    via_ft = fourier_pair(to_quadrature(state, grid, Basis.P))
+    assert np.max(np.abs(via_x.values - via_ft.values)) < 1e-10
 
 
 @given(data=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=32))
