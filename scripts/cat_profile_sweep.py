@@ -26,9 +26,8 @@ from spincat import (
     overlap,
     riemann_normalize,
     squeezed_state_exact,
-    to_quadrature,
 )
-from spincat.state import effective_max_index
+from spincat.state import _expand, effective_max_index
 
 
 def invert_mu(mu, beta, xi2):
@@ -43,8 +42,8 @@ def run_sweep(xi2, beta, mu_values):
         n_max = choose_truncation(xi2, beta, mu, 1e-10)
         cat = apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, p_r)
         grid = default_cat_grid(mu, effective_max_index(cat))
-        p_wf = riemann_normalize(to_quadrature(cat, grid, Basis.P))
-        x_wf = riemann_normalize(to_quadrature(cat, grid, Basis.X))
+        p_wf, x_wf = (riemann_normalize(wf) for wf in _expand(
+            [(cat, Basis.P), (cat, Basis.X)], grid))
 
         positions, widths = detect_peaks(p_wf)
         try:

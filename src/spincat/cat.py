@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import (
     DegenerateStateError,
@@ -99,6 +98,22 @@ def approx_x_wavefunction(params: CatApproxParams, grid: QuadratureGrid) -> Quad
     return riemann_normalize(QuadratureWavefunction(grid, values, Basis.X))
 
 
+def _local_maxima(y: np.ndarray, height: float | None = None) -> np.ndarray:
+    """Indices of the interior local maxima of `y`, as
+    `scipy.signal.find_peaks(y, height=height)[0]` returns them: a point or
+    flat plateau entered by a rise and left by a fall, reported at the
+    plateau middle (left + right) // 2, optionally only where
+    y >= height.  The end samples are never maxima."""
+    steps = np.diff(y)
+    moves = np.flatnonzero(steps)
+    rises = steps[moves] > 0.0
+    turn = np.flatnonzero(rises[:-1] & ~rises[1:])
+    idx = (moves[turn] + 1 + moves[turn + 1]) // 2
+    if height is not None:
+        idx = idx[y[idx] >= height]
+    return idx
+
+
 def _parabolic_refine(y: np.ndarray, i: int) -> tuple[float, float]:
     """Vertex (offset in index units, value) of the parabola through
     y[i-1], y[i], y[i+1]; falls back to the sample on flat tops."""
@@ -124,7 +139,7 @@ def detect_peaks(wf: QuadratureWavefunction) -> tuple[list[float], list[float]]:
     peak_height = dens.max()
     if peak_height == 0.0:
         raise DegenerateStateError("all-zero wavefunction has no peaks")
-    idx, _ = find_peaks(dens, height=PEAK_THRESHOLD * peak_height)
+    idx = _local_maxima(dens, height=PEAK_THRESHOLD * peak_height)
     if idx.size == 0:
         raise DegenerateStateError(
             f"no interior density peak above {PEAK_THRESHOLD:.0%} of the maximum"
@@ -186,8 +201,8 @@ def fringe_metrics(wf: QuadratureWavefunction) -> tuple[float, float]:
     period = 2.0 * float(np.mean(np.diff(crossings)))
 
     seg_d = dens[lo:hi + 1]
-    crest_rel, _ = find_peaks(seg_d)
-    trough_rel, _ = find_peaks(-seg_d)
+    crest_rel = _local_maxima(seg_d)
+    trough_rel = _local_maxima(-seg_d)
     if crest_rel.size == 0 or trough_rel.size == 0:
         raise NoFringeError("no alternating extrema inside the envelope")
     crest_i = crest_rel[int(np.argmin(np.abs(seg_p[crest_rel])))]

@@ -46,13 +46,13 @@ from .state import (
     NumberState,
     QuadratureGrid,
     RandomSource,
+    _expand,
     choose_truncation,
     default_cat_grid,
     effective_max_index,
     grid_for_state,
     mean_occupation,
     riemann_normalize,
-    to_quadrature,
 )
 
 EXIT_OK = 0
@@ -123,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     sq.add_argument("--xi2", type=float)
     sq.add_argument("--n-max", dest="n_max", type=int)
     sq.add_argument("--tail-tol", dest="tail_tol", type=float)
+    _add_grid(sq)
     _add_common(sq)
 
     cat = sub.add_parser("cat", help="run both QND steps and analyze the cat state")
@@ -134,6 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--sample", action="store_const", const=True, default=None,
                      help="draw both outcomes from the seeded stream")
     cat.add_argument("--tail-tol", dest="tail_tol", type=float)
+    cat.add_argument("--seed", type=int)
+    _add_grid(cat)
     _add_common(cat)
 
     tr = sub.add_parser("trajectories", help="Monte Carlo over full protocol runs")
@@ -142,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--count", type=int)
     tr.add_argument("--bins", type=int)
     tr.add_argument("--tail-tol", dest="tail_tol", type=float)
+    tr.add_argument("--seed", type=int)
     _add_common(tr)
 
     fe = sub.add_parser("feasibility", help="experimental feasibility report")
@@ -160,9 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int)
     sub.add_argument("--out-dir", dest="out_dir")
     sub.add_argument("--config", help="JSON file with the same field names")
+
+
+def _add_grid(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid-half-width", dest="grid_half_width", type=float)
     sub.add_argument("--grid-count", dest="grid_count", type=int)
 
@@ -236,7 +242,7 @@ def _grid_override(problems, merged):
 def _config_squeeze(args) -> SqueezeConfig:
     merged = _resolve(args, {
         "xi2": None, "n_max": None, "tail_tol": 1e-10, "out_dir": ".",
-        "grid_half_width": None, "grid_count": None, "seed": 0, "config": None,
+        "grid_half_width": None, "grid_count": None, "config": None,
     })
     problems = []
     _require_number(problems, merged, "xi2", minimum=1.0)
@@ -287,7 +293,6 @@ def _config_trajectories(args) -> TrajectoriesConfig:
     merged = _resolve(args, {
         "xi2": None, "beta": None, "count": None, "seed": 0, "bins": 100,
         "tail_tol": 1e-10, "out_dir": ".", "config": None,
-        "grid_half_width": None, "grid_count": None,
     })
     problems = []
     _require_number(problems, merged, "xi2", strict=True, minimum=1.0)
@@ -310,7 +315,6 @@ def _config_feasibility(args) -> FeasibilityConfig:
         "preset": None, "kappa0": None, "gamma": None, "delta": None,
         "n_atoms": None, "n_photons": None, "transmission": 1.0,
         "polarization": 0.99, "tau_c": 0.1, "out_dir": ".", "config": None,
-        "seed": 0, "grid_half_width": None, "grid_count": None,
     })
     if merged["preset"] is not None:
         if merged["preset"] not in PRESETS:
@@ -362,15 +366,21 @@ def run_squeeze(cfg: SqueezeConfig) -> dict:
     grid = _output_grid(cfg, grid_for_state(exact))
     dx2, dp2 = quadrature_variances(exact)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    files = {}
-    _emit_state_family(exact, grid, cfg.out_dir, "squeeze_exact", files)
-
+    families = [("squeeze_exact", exact)]
     stirling_overlap = None
     if cfg.xi2 > 1.0:
         stirling = squeezed_state_stirling(cfg.xi2, n_max)
-        _emit_state_family(stirling, grid, cfg.out_dir, "squeeze_stirling", files)
+        families.append(("squeeze_stirling", stirling))
         stirling_overlap = float(abs(np.vdot(exact.amplitudes, stirling.amplitudes)))
+    wavefunctions = _expand(
+        [(state, basis) for _, state in families for basis in (Basis.P, Basis.X)], grid)
+
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    files = {}
+    coords = io.format_coords(grid)
+    for i, (prefix, state) in enumerate(families):
+        _emit_state_family(state, wavefunctions[2 * i:2 * i + 2], coords,
+                           cfg.out_dir, prefix, files)
 
     summary = {
         "xi2": cfg.xi2,
@@ -387,16 +397,16 @@ def run_squeeze(cfg: SqueezeConfig) -> dict:
     return {"command": "squeeze", "files": files, "summary": summary}
 
 
-def _emit_state_family(state: NumberState, grid: QuadratureGrid, out_dir: str,
-                       prefix: str, files: dict) -> None:
+def _emit_state_family(state: NumberState, wavefunctions, coords: list[str],
+                       out_dir: str, prefix: str, files: dict) -> None:
     path = os.path.join(out_dir, f"{prefix}_state.csv")
     io.write_number_state_csv(state, path)
     files[f"{prefix}_state"] = path
-    for basis, tag in ((Basis.P, "p"), (Basis.X, "x")):
-        wf = to_quadrature(state, grid, basis)
-        path = os.path.join(out_dir, f"{prefix}_{tag}.csv")
-        io.write_wavefunction_csv(wf, path)
-        files[f"{prefix}_{tag}"] = path
+    for wf in wavefunctions:
+        key = f"{prefix}_{wf.basis.value}"
+        path = os.path.join(out_dir, f"{key}.csv")
+        io.write_wavefunction_csv(wf, path, coords=coords)
+        files[key] = path
 
 
 def run_cat(cfg: CatConfig) -> dict:
@@ -431,17 +441,18 @@ def run_cat(cfg: CatConfig) -> dict:
         fallback = grid_for_state(cat_state)
     grid = _output_grid(cfg, fallback)
 
-    exact_p = riemann_normalize(to_quadrature(cat_state, grid, Basis.P))
-    exact_x = riemann_normalize(to_quadrature(cat_state, grid, Basis.X))
+    exact_p, exact_x = (riemann_normalize(wf) for wf in _expand(
+        [(cat_state, Basis.P), (cat_state, Basis.X)], grid))
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     files = {}
+    coords = io.format_coords(grid)
     path = os.path.join(cfg.out_dir, "cat_state.csv")
     io.write_number_state_csv(cat_state, path)
     files["cat_state"] = path
     for wf, name in ((exact_p, "cat_p"), (exact_x, "cat_x")):
         path = os.path.join(cfg.out_dir, f"{name}.csv")
-        io.write_wavefunction_csv(wf, path)
+        io.write_wavefunction_csv(wf, path, coords=coords)
         files[name] = path
 
     overlap_p = None
@@ -452,7 +463,7 @@ def run_cat(cfg: CatConfig) -> dict:
         overlap_p = overlap(exact_p, approx_p)
         for wf, name in ((approx_p, "cat_approx_p"), (approx_x, "cat_approx_x")):
             path = os.path.join(cfg.out_dir, f"{name}.csv")
-            io.write_wavefunction_csv(wf, path)
+            io.write_wavefunction_csv(wf, path, coords=coords)
             files[name] = path
 
     metrics = compute_cat_metrics(exact_p, exact_x, mu_exact, cfg.beta, cfg.xi2)

@@ -14,6 +14,8 @@ Conventions used throughout:
   *computed* by the same recurrence sum as p with coefficients a_n i**n;
   the discretized transform survives only in `fourier_pair`, the
   independent check of that identity;
+* expansions that share a grid share one pass of the recurrence
+  (`_expand`), one sum per (state, basis) pair;
 * continuous integrals are midpoint Riemann sums on uniform grids.
 """
 
@@ -323,24 +325,45 @@ def to_quadrature(state: NumberState, grid: QuadratureGrid, basis: Basis) -> Qua
     output is *not* renormalized; for states fully covered by the grid
     the Riemann norm reproduces the number-basis norm.
     """
-    basis = Basis(basis)
-    if not np.any(state.amplitudes):
-        raise DegenerateStateError("cannot transform the all-zero state")
-    n_eff = effective_max_index(state)
-    k_max = np.sqrt(2.0 * n_eff + 1.0)
-    if grid.spacing > np.pi / k_max:
-        raise ResolutionError(
-            f"grid spacing {grid.spacing:.4g} exceeds the resolution bound "
-            f"{np.pi / k_max:.4g} for occupancy n_eff={n_eff}"
-        )
-    coeffs = state.amplitudes[:n_eff + 1]
-    if basis is Basis.X:
-        coeffs = coeffs * _I_POWERS[np.arange(n_eff + 1) % 4]
-    values = np.zeros(grid.count, dtype=complex)
-    for a, row in zip(coeffs, _hermite_rows(n_eff, grid.points())):
-        if a != 0.0:
-            values += a * row
-    return QuadratureWavefunction(grid, values, basis)
+    return _expand([(state, basis)], grid)[0]
+
+
+def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
+    """`to_quadrature` of every (state, basis) pair in `pairs` on one grid,
+    from a single pass of the recurrence.
+
+    Each pair keeps its own sum, which stops at the pair's own n_eff and
+    adds its terms in the order a single expansion does, so the values
+    are bitwise those of separate passes.  A sum whose coefficients are
+    all real (squeezed and cat states: i**n is +-1 on even n) accumulates
+    in real arithmetic; the complex sum would give the same real parts and
+    an imaginary part of exactly +0.  Every pair is checked before the
+    pass, and the first one that fails raises.
+    """
+    sums = []
+    for state, basis in pairs:
+        basis = Basis(basis)
+        if not np.any(state.amplitudes):
+            raise DegenerateStateError("cannot transform the all-zero state")
+        n_eff = effective_max_index(state)
+        k_max = np.sqrt(2.0 * n_eff + 1.0)
+        if grid.spacing > np.pi / k_max:
+            raise ResolutionError(
+                f"grid spacing {grid.spacing:.4g} exceeds the resolution bound "
+                f"{np.pi / k_max:.4g} for occupancy n_eff={n_eff}"
+            )
+        coeffs = state.amplitudes[:n_eff + 1]
+        if basis is Basis.X:
+            coeffs = coeffs * _I_POWERS[np.arange(n_eff + 1) % 4]
+        if not np.any(coeffs.imag):
+            coeffs = coeffs.real
+        sums.append((basis, coeffs, np.zeros(grid.count, dtype=coeffs.dtype)))
+    n_top = max(coeffs.size for _, coeffs, _ in sums) - 1
+    for n, row in enumerate(_hermite_rows(n_top, grid.points())):
+        for _, coeffs, values in sums:
+            if n < coeffs.size and coeffs[n] != 0.0:
+                values += coeffs[n] * row
+    return [QuadratureWavefunction(grid, values, basis) for basis, _, values in sums]
 
 
 def fourier_pair(wf: QuadratureWavefunction) -> QuadratureWavefunction:

@@ -3,6 +3,8 @@
 import numpy as np
 from scipy.stats import norm as normal_dist
 
+from spincat.state import Basis, effective_max_index, hermite_basis
+
 
 def midpoint_grid(half: float, count: int) -> tuple[np.ndarray, float]:
     spacing = 2.0 * half / (count - 1)
@@ -65,3 +67,48 @@ def chi_square_vs_mixture(draws: np.ndarray, state_amplitudes: np.ndarray,
     merged_obs = np.array(merged_obs)
     stat = float(np.sum((merged_obs - merged_exp) ** 2 / merged_exp))
     return stat, merged_exp.size - 1
+
+
+# ---------------------------------------------------------------------------
+# reference expansion and writers: one value at a time, in numpy scalars
+
+
+def reference_expansion(state, grid, basis) -> np.ndarray:
+    """sum_n c_n phi_n(u) with c_n = a_n (P) or a_n i**n (X) for n up to
+    n_eff, accumulated one complex term at a time."""
+    n_eff = effective_max_index(state)
+    coeffs = state.amplitudes[:n_eff + 1]
+    if Basis(basis) is Basis.X:
+        coeffs = coeffs * np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(n_eff + 1) % 4]
+    values = np.zeros(grid.count, dtype=complex)
+    for a, row in zip(coeffs, hermite_basis(n_eff, grid.points())):
+        if a != 0.0:
+            values += a * row
+    return values
+
+
+def _fmt(x) -> str:
+    return f"{x:.17g}"
+
+
+def reference_number_state_csv(state) -> str:
+    lines = ["n,re,im"]
+    for n, amp in enumerate(state.amplitudes):
+        lines.append(f"{n},{_fmt(amp.real)},{_fmt(amp.imag)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_wavefunction_csv(wf) -> str:
+    lines = ["coord,re,im,abs2"]
+    for coord, val in zip(wf.grid.points(), wf.values):
+        lines.append(
+            f"{_fmt(coord)},{_fmt(val.real)},{_fmt(val.imag)},{_fmt(abs(val) ** 2)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_histogram_csv(edges, counts) -> str:
+    lines = ["bin_left,bin_right,count"]
+    for left, right, count in zip(edges[:-1], edges[1:], counts):
+        lines.append(f"{_fmt(left)},{_fmt(right)},{int(count)}")
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from spincat import (
     Basis,
@@ -29,6 +32,7 @@ from spincat import (
     squeezed_state_exact,
     to_quadrature,
 )
+from spincat.cat import _local_maxima
 from spincat.state import QuadratureWavefunction
 
 BETA = 1.0 / 3.0
@@ -132,6 +136,24 @@ def test_detect_peaks_requires_p_basis_and_structure():
     ramp = riemann_normalize(QuadratureWavefunction(grid, values, Basis.P))
     with pytest.raises(DegenerateStateError):
         detect_peaks(ramp)
+
+
+PLATEAUS = st.lists(st.integers(0, 3), max_size=60).map(lambda v: np.array(v, dtype=float))
+NOISE = st.lists(st.floats(-1e3, 1e3), max_size=60).map(lambda v: np.array(v, dtype=float))
+
+
+@given(y=st.one_of(PLATEAUS, NOISE),
+       level=st.none() | st.integers(0, 59) | st.floats(0.0, 1.0))
+@settings(max_examples=400, deadline=None)
+def test_local_maxima_matches_find_peaks(y, level):
+    # An integer level takes the height from a sample, so ties with a peak
+    # occur; a float one is a fraction of the maximum, as in detect_peaks.
+    if level is None or y.size == 0:
+        expected, got = find_peaks(y)[0], _local_maxima(y)
+    else:
+        height = y[level % y.size] if isinstance(level, int) else level * y.max()
+        expected, got = find_peaks(y, height=height)[0], _local_maxima(y, height)
+    assert np.array_equal(got, expected)
 
 
 def test_fringe_metrics_on_exact_state():

@@ -1,10 +1,30 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spincat
+from helpers import reference_number_state_csv, reference_wavefunction_csv
+from spincat import (
+    Basis,
+    CatApproxParams,
+    apply_number_qnd,
+    approx_p_wavefunction,
+    approx_x_wavefunction,
+    default_cat_grid,
+    grid_for_state,
+    riemann_normalize,
+    squeezed_state_exact,
+    squeezed_state_stirling,
+    to_quadrature,
+)
 from spincat.cli import main
 from spincat.io import read_number_state_csv
+from spincat.state import effective_max_index
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +51,23 @@ def test_squeeze_reference(tmp_path, capsys):
     for key in ("squeeze_exact_state", "squeeze_exact_p", "squeeze_exact_x",
                 "squeeze_stirling_state", "summary"):
         assert (tmp_path / result["files"][key].split("/")[-1]).exists()
+
+
+def test_squeeze_files_match_reference_writers(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "squeeze", "--xi2", "20",
+                           "--out-dir", str(tmp_path))
+    assert code == 0
+    files = stdout_json(out)["files"]
+    n_max = stdout_json(out)["summary"]["n_max"]
+    exact = squeezed_state_exact(20.0, n_max)
+    grid = grid_for_state(exact)
+    for prefix, state in (("squeeze_exact", exact),
+                          ("squeeze_stirling", squeezed_state_stirling(20.0, n_max))):
+        assert Path(files[f"{prefix}_state"]).read_text() == \
+            reference_number_state_csv(state)
+        for basis in (Basis.P, Basis.X):
+            assert Path(files[f"{prefix}_{basis.value}"]).read_text() == \
+                reference_wavefunction_csv(to_quadrature(state, grid, basis))
 
 
 def test_squeeze_vacuum(tmp_path, capsys):
@@ -81,6 +118,28 @@ def test_cat_reference_outcome(tmp_path, capsys):
     assert trace["state_file"].endswith("cat_state.csv")
     for name in ("cat_state", "cat_p", "cat_x", "cat_approx_p", "cat_approx_x"):
         assert name in result["files"]
+
+
+def test_cat_files_match_reference_writers(tmp_path, capsys):
+    beta = 1.0 / 3.0
+    code, out, _ = run_cli(capsys, "cat", "--xi2", "20", "--beta", repr(beta),
+                           "--pr-over-beta", "7", "--out-dir", str(tmp_path))
+    assert code == 0
+    result = stdout_json(out)
+    files, metrics = result["files"], result["metrics"]
+    n_max = json.loads(Path(files["trace"]).read_text())["n_max"]
+    cat = apply_number_qnd(squeezed_state_exact(20.0, n_max), beta, metrics["p_R"])
+    grid = default_cat_grid(metrics["mu_exact"], effective_max_index(cat))
+    params = CatApproxParams(mu=metrics["mu_exact"], beta=beta)
+    expected = {
+        "cat_p": riemann_normalize(to_quadrature(cat, grid, Basis.P)),
+        "cat_x": riemann_normalize(to_quadrature(cat, grid, Basis.X)),
+        "cat_approx_p": approx_p_wavefunction(params, grid),
+        "cat_approx_x": approx_x_wavefunction(params, grid),
+    }
+    assert Path(files["cat_state"]).read_text() == reference_number_state_csv(cat)
+    for name, wf in expected.items():
+        assert Path(files[name]).read_text() == reference_wavefunction_csv(wf)
 
 
 def test_cat_sampled_outcome_is_deterministic(tmp_path, capsys):
@@ -273,6 +332,47 @@ def test_config_file_unknown_field(tmp_path, capsys):
     code, _, err = run_cli(capsys, "squeeze", "--config", str(config))
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasibility", "--preset", "bec-cavity", "--seed", "-5"],
+    ["feasibility", "--preset", "bec-cavity", "--grid-half-width", "9",
+     "--grid-count", "64"],
+    ["squeeze", "--xi2", "20", "--seed", "3"],
+    ["trajectories", "--xi2", "20", "--beta", "0.5", "--count", "10",
+     "--grid-half-width", "-3", "--grid-count", "1"],
+], ids=["feasibility-seed", "feasibility-grid", "squeeze-seed", "trajectories-grid"])
+def test_flags_of_other_commands_exit_config(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("feasibility", {"preset": "bec-cavity", "seed": 1}),
+    ("squeeze", {"xi2": 20.0, "seed": 3}),
+    ("trajectories", {"xi2": 20.0, "beta": 0.5, "count": 10,
+                      "grid_half_width": 9.0, "grid_count": 64}),
+])
+def test_config_fields_of_other_commands_exit_config(tmp_path, capsys, command, fields):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**fields, "out_dir": str(tmp_path / "out")}))
+    code, out, err = run_cli(capsys, command, "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert "unknown config fields" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    src = str(Path(spincat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, spincat.cli; print('scipy.signal' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert run.stdout.strip() == "False"
 
 
 def test_unknown_command_exits_config(capsys):

@@ -1,0 +1,130 @@
+"""The CSV writers against one-value-at-a-time reference writers: the
+files must be equal byte for byte, on adversarial values too."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    reference_histogram_csv,
+    reference_number_state_csv,
+    reference_wavefunction_csv,
+)
+from spincat import Basis, NumberState, QuadratureGrid, squeezed_state_exact, to_quadrature
+from spincat.errors import DomainError
+from spincat.io import (
+    format_coords,
+    write_histogram_csv,
+    write_number_state_csv,
+    write_wavefunction_csv,
+)
+from spincat.state import QuadratureWavefunction
+
+# Signed zeros, subnormals, the normal range's ends, and magnitudes whose
+# square underflows or overflows.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+           2.2250738585072014e-308, -1e-300, 1e-160, 1.5e-155, 1e-5, 1.0 / 3.0,
+           -1.0, np.pi, 1e154, 1.3e154, -1.4e154, 1e300, 1.7976931348623157e308,
+           -1.7976931348623157e308]
+
+GRIDS = [QuadratureGrid(-6.0, 6.0, 2), QuadratureGrid(-1e-300, 1e-300, 7),
+         QuadratureGrid(-1e300, 1e300, 9), QuadratureGrid(-3.25, 17.5, 361)]
+
+
+def written(tmp_path, write, *args, **kwargs) -> bytes:
+    path = tmp_path / "out.csv"
+    write(*args, str(path), **kwargs)
+    return path.read_bytes()
+
+
+def complex_array(re, im) -> np.ndarray:
+    # re + 1j * im would turn -0.0 and infinite parts into other values.
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
+    return values
+
+
+def adversarial_values(count: int) -> np.ndarray:
+    pairs = np.array([(re, im) for re in SPECIAL for im in SPECIAL])
+    pairs = np.resize(pairs, (count, 2))
+    return complex_array(pairs[:, 0], pairs[:, 1])
+
+
+def abs2_mismatch_values(count: int) -> np.ndarray:
+    """Random values on which np.abs(v) ** 2 and Python's abs(v) ** 2
+    disagree, as many as the search finds."""
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=65536) + 1j * rng.normal(size=65536)
+    differs = (np.abs(v) ** 2) != np.array([abs(z) ** 2 for z in v.tolist()])
+    picked = v[differs][:count]
+    assert picked.size > 0
+    return picked
+
+
+def wavefunction(grid, values) -> QuadratureWavefunction:
+    return QuadratureWavefunction(grid, np.resize(values, grid.count), Basis.X)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.min:g}:{g.count}")
+def test_wavefunction_csv_bytes_adversarial(tmp_path, grid):
+    cases = [
+        adversarial_values(grid.count),
+        complex_array(SPECIAL, np.zeros(len(SPECIAL))),
+        complex_array(SPECIAL, np.full(len(SPECIAL), -0.0)),
+        abs2_mismatch_values(grid.count),
+    ]
+    with np.errstate(over="ignore"):
+        for values in cases:
+            wf = wavefunction(grid, values)
+            expected = reference_wavefunction_csv(wf).encode()
+            assert written(tmp_path, write_wavefunction_csv, wf) == expected
+            assert written(tmp_path, write_wavefunction_csv, wf,
+                           coords=format_coords(grid)) == expected
+
+
+@given(parts=st.lists(st.tuples(st.floats(), st.floats()), min_size=2, max_size=40),
+       half=st.floats(1e-300, 1e300))
+@settings(max_examples=60, deadline=None)
+def test_wavefunction_csv_bytes_any_floats(tmp_path_factory, parts, half):
+    parts = np.array(parts)
+    grid = QuadratureGrid(-half, half, len(parts))
+    wf = wavefunction(grid, complex_array(parts[:, 0], parts[:, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_wavefunction_csv(wf).encode()
+        got = written(tmp_path_factory.mktemp("wf"), write_wavefunction_csv, wf)
+    assert got == expected
+
+
+def test_wavefunction_csv_bytes_squeezed_state(tmp_path):
+    state = squeezed_state_exact(20.0, 230)
+    grid = QuadratureGrid(-12.0, 12.0, 2048)
+    for basis in (Basis.P, Basis.X):
+        wf = to_quadrature(state, grid, basis)
+        assert written(tmp_path, write_wavefunction_csv, wf) == \
+            reference_wavefunction_csv(wf).encode()
+
+
+def test_wavefunction_csv_rejects_coords_of_another_grid(tmp_path):
+    wf = wavefunction(QuadratureGrid(-1.0, 1.0, 8), np.ones(8))
+    with pytest.raises(DomainError):
+        written(tmp_path, write_wavefunction_csv, wf,
+                coords=format_coords(QuadratureGrid(-1.0, 1.0, 9)))
+
+
+def test_number_state_csv_bytes_adversarial(tmp_path):
+    for amps in (adversarial_values(len(SPECIAL) ** 2),
+                 complex_array(SPECIAL, np.zeros(len(SPECIAL))),
+                 complex_array(SPECIAL, np.full(len(SPECIAL), -0.0)), np.array([1.0])):
+        state = NumberState(amps)
+        assert written(tmp_path, write_number_state_csv, state) == \
+            reference_number_state_csv(state).encode()
+
+
+def test_histogram_csv_bytes_adversarial(tmp_path):
+    edges = np.array(SPECIAL)
+    counts = np.array([0, 1, 2 ** 62, 7] * len(SPECIAL))[:edges.size - 1]
+    for e, c in ((edges, counts), (np.sort(edges), counts[::-1]),
+                 (np.histogram([0.1, 0.2, 0.2], bins=3)[1], np.array([1, 0, 2]))):
+        assert written(tmp_path, write_histogram_csv, e, c) == \
+            reference_histogram_csv(e, c).encode()

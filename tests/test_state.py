@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite as np_hermite
 
+from helpers import reference_expansion
 from spincat import (
     Basis,
     DegenerateStateError,
@@ -32,7 +33,7 @@ from spincat.io import (
     write_number_state_csv,
     write_wavefunction_csv,
 )
-from spincat.state import QuadratureWavefunction
+from spincat.state import QuadratureWavefunction, _expand
 
 
 def vacuum(n_max=0):
@@ -134,6 +135,41 @@ def test_to_quadrature_rejects_zero_state_and_coarse_grid():
     state = squeezed_state_exact(20.0, 230)
     with pytest.raises(ResolutionError):
         to_quadrature(state, QuadratureGrid(-8, 8, 8), Basis.P)
+
+
+def test_expand_matches_reference_sums_bitwise():
+    # Real coefficients (squeezed, cat, vacuum) take the real accumulation,
+    # a complex state and the x basis of a real state with odd components
+    # the complex one; n_eff differs from pair to pair.
+    from spincat import apply_number_qnd
+
+    rng = np.random.default_rng(11)
+    squeezed = squeezed_state_exact(20.0, choose_truncation(20.0, 1.0, 0.0, 1e-10))
+    cat = apply_number_qnd(squeezed, 1.0 / 3.0, 7.0 / 3.0)
+    mixed = normalize(NumberState(rng.normal(size=24) + 1j * rng.normal(size=24)))
+    odd_real = normalize(NumberState(rng.normal(size=9)))
+    states = (squeezed, mixed, cat, odd_real, vacuum())
+    grid = grid_for_state(squeezed)
+    pairs = [(state, basis) for state in states for basis in (Basis.X, Basis.P)]
+    wavefunctions = _expand(pairs, grid)
+    assert len(wavefunctions) == len(pairs)
+    for (state, basis), wf in zip(pairs, wavefunctions):
+        assert wf.basis is basis and wf.grid == grid
+        single = to_quadrature(state, grid, basis).values
+        assert wf.values.tobytes() == single.tobytes()
+        assert wf.values.tobytes() == reference_expansion(state, grid, basis).tobytes()
+
+
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_expand_raises_for_any_failing_pair(bad_first):
+    grid = QuadratureGrid(-8.0, 8.0, 64)
+    good = (squeezed_state_exact(5.0, 40), Basis.X)
+    for bad, error in (((NumberState(np.zeros(4)), Basis.P), DegenerateStateError),
+                       ((squeezed_state_exact(20.0, 230), Basis.P), ResolutionError)):
+        pairs = [bad, good] if bad_first else [good, bad]
+        with pytest.raises(error):
+            _expand(pairs, grid)
+    _expand([good], grid)
 
 
 # ---------------------------------------------------------------------------
