@@ -15,12 +15,9 @@ from .errors import DomainError
 from .state import NumberState, QuadratureGrid, QuadratureWavefunction
 
 
-def fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 # Row templates applied to zipped columns of Python numbers; "%.17g" gives
-# the same text as `fmt`, faster.
+# the same text as f"{x:.17g}", faster.
+_FIELD = "%.17g"
 _STATE_ROW = "%d,%.17g,%.17g\n"
 _WAVEFUNCTION_ROW = "%s,%.17g,%.17g,%.17g\n"
 _HISTOGRAM_ROW = "%.17g,%.17g,%d\n"
@@ -53,7 +50,7 @@ def read_number_state_csv(path: str) -> NumberState:
 
 def format_coords(grid: QuadratureGrid) -> list[str]:
     """The formatted coordinate column of a wavefunction CSV on `grid`."""
-    return list(map(fmt, grid.points().tolist()))
+    return [_FIELD % x for x in grid.points().tolist()]
 
 
 def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
