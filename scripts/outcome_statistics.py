@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare sampled second-step outcomes against the analytic mixture.
 
-Draws outcomes from the exact two-stage sampler, bins them, and prints
+Draws outcomes from the exact two-stage array sampler, bins them, and prints
 observed versus expected counts plus the chi-square statistic.
 """
 
@@ -11,9 +11,9 @@ import numpy as np
 from scipy.stats import chi2, norm
 
 from spincat import (
-    RandomSource,
+    alpha_from_xi2,
     choose_truncation,
-    sample_second_outcome,
+    outcome_sampler,
     squeezed_state_exact,
 )
 
@@ -29,9 +29,8 @@ def main():
 
     state = squeezed_state_exact(
         args.xi2, choose_truncation(args.xi2, args.beta, 0.0, 1e-10))
-    rng = RandomSource(args.seed)
-    draws = np.array([sample_second_outcome(state, args.beta, rng)
-                      for _ in range(args.count)])
+    draw = outcome_sampler(alpha_from_xi2(args.xi2), state, args.beta)
+    _, draws = draw(np.random.default_rng(args.seed), args.count)
 
     lo, hi = np.quantile(draws, [0.001, 0.999])
     edges = np.concatenate(([-np.inf], np.linspace(lo, hi, args.bins - 1), [np.inf]))

@@ -35,6 +35,7 @@ from .protocol import (
     conditional_first_step,
     mu_of_outcome,
     outcome_density_second,
+    outcome_sampler,
     quadrature_variances,
     sample_first_outcome,
     sample_second_outcome,

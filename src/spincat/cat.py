@@ -223,7 +223,8 @@ def fringe_metrics(wf: QuadratureWavefunction) -> tuple[float, float]:
 
 def check_cat_conditions(mu: float, beta: float, xi2: float) -> tuple[bool, bool, bool]:
     """(resolvable, reachable, combined) observability conditions:
-    mu >= 1/beta, mu <= xi2, beta*xi2 > 1."""
+    mu >= 1/beta, mu <= xi2, beta*xi2 > 1.  For an array of mu the first
+    two are boolean arrays."""
     if beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     resolvable = mu >= 1.0 / beta

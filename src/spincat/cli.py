@@ -35,6 +35,7 @@ from .protocol import (
     apply_number_qnd,
     mu_of_outcome,
     outcome_density_second,
+    outcome_sampler,
     quadrature_variances,
     sample_first_outcome,
     sample_second_outcome,
@@ -59,6 +60,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IMPROBABLE = 4
+
+# Trajectories drawn per generator in `trajectories`.  Changing it changes
+# the records a seed gives.
+TRAJECTORY_BLOCK = 8192
 
 
 class ConfigError(Exception):
@@ -486,7 +491,7 @@ def run_cat(cfg: CatConfig) -> dict:
     trace = ProtocolTrace(
         seed=cfg.seed, xi2=cfg.xi2, alpha=alpha, beta=cfg.beta, p_P=p_P,
         p_R=p_R, mu_exact=mu_exact, mu_approx=mu_approx, n_max=n_max,
-        state_file=files["cat_state"],
+        state_file=os.path.basename(files["cat_state"]),
     )
     path = os.path.join(cfg.out_dir, "cat_trace.json")
     io.write_json(asdict(trace), path)
@@ -496,36 +501,33 @@ def run_cat(cfg: CatConfig) -> dict:
 
 
 def run_trajectories(cfg: TrajectoriesConfig) -> dict:
+    """Trajectory i takes position i % TRAJECTORY_BLOCK of the block drawn
+    from default_rng([seed, i // TRAJECTORY_BLOCK]); every block is drawn
+    whole, so record i depends on the seed and i only."""
     alpha = alpha_from_xi2(cfg.xi2)
     n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0, cfg.tail_tol)
-    squeezed = squeezed_state_exact(cfg.xi2, n_max)
+    draw = outcome_sampler(alpha, squeezed_state_exact(cfg.xi2, n_max), cfg.beta)
 
-    records = []
     p_r_values = np.empty(cfg.count)
-    n_resolvable = 0
-    for i in range(cfg.count):
-        rng = RandomSource.for_trajectory(cfg.seed, i)
-        p_p = sample_first_outcome(alpha, rng)
-        p_r = sample_second_outcome(squeezed, cfg.beta, rng)
-        mu_exact, mu_approx = mu_of_outcome(p_r, cfg.beta, cfg.xi2)
-        resolvable, reachable, combined = check_cat_conditions(
-            mu_exact, cfg.beta, cfg.xi2)
-        n_resolvable += resolvable
-        p_r_values[i] = p_r
-        records.append({
-            "index": i,
-            "p_P": p_p,
-            "p_R": p_r,
-            "mu_exact": mu_exact,
-            "mu_approx": mu_approx,
-            "flags": {"resolvable": resolvable, "reachable": reachable,
-                      "combined": combined},
-        })
+    resolvable_counts = []
+
+    def blocks():
+        for start in range(0, cfg.count, TRAJECTORY_BLOCK):
+            size = min(TRAJECTORY_BLOCK, cfg.count - start)
+            generator = np.random.default_rng([cfg.seed, start // TRAJECTORY_BLOCK])
+            p_p, p_r = (a[:size] for a in draw(generator, TRAJECTORY_BLOCK))
+            mu_exact, mu_approx = mu_of_outcome(p_r, cfg.beta, cfg.xi2)
+            resolvable, reachable, combined = check_cat_conditions(
+                mu_exact, cfg.beta, cfg.xi2)
+            p_r_values[start:start + size] = p_r
+            resolvable_counts.append(int(np.count_nonzero(resolvable)))
+            yield io.format_trajectory_lines(start, p_p, p_r, mu_exact, mu_approx,
+                                             resolvable, reachable, combined)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     files = {}
     path = os.path.join(cfg.out_dir, "trajectories.jsonl")
-    io.write_json_lines(records, path)
+    io.write_json_lines(blocks(), path)
     files["trajectories"] = path
 
     counts, edges = np.histogram(p_r_values, bins=cfg.bins)
@@ -533,15 +535,19 @@ def run_trajectories(cfg: TrajectoriesConfig) -> dict:
     io.write_histogram_csv(edges, counts, path)
     files["histogram"] = path
 
+    p_r_mean = float(p_r_values.mean())
+    # The steps of p_r_values.std(), in place: no second count-long array.
+    p_r_values -= p_r_mean
+    p_r_values *= p_r_values
     summary = {
         "count": cfg.count,
         "seed": cfg.seed,
         "xi2": cfg.xi2,
         "beta": cfg.beta,
         "n_max": n_max,
-        "p_R_mean": float(p_r_values.mean()),
-        "p_R_std": float(p_r_values.std()),
-        "fraction_resolvable": n_resolvable / cfg.count,
+        "p_R_mean": p_r_mean,
+        "p_R_std": math.sqrt(p_r_values.sum() / cfg.count),
+        "fraction_resolvable": sum(resolvable_counts) / cfg.count,
     }
     return {"command": "trajectories", "files": files, "summary": summary}
 

@@ -1,6 +1,7 @@
 """Flat-file serialization: CSV for states and wavefunctions, JSON for
-summaries and reports.  All writes are atomic (temp file then rename) and
-numeric fields carry 17 significant digits, enough to round-trip doubles.
+summaries and reports, JSON lines for trajectories.  All writes are atomic
+(temp file then rename).  CSV fields carry 17 significant digits and JSON
+floats their shortest repr, both enough to round-trip doubles.
 """
 
 from __future__ import annotations
@@ -21,14 +22,25 @@ _FIELD = "%.17g"
 _STATE_ROW = "%d,%.17g,%.17g\n"
 _WAVEFUNCTION_ROW = "%s,%.17g,%.17g,%.17g\n"
 _HISTOGRAM_ROW = "%.17g,%.17g,%d\n"
+# One trajectory record as json.dumps(record, sort_keys=True) writes it; the
+# head holds the flags, which take four values within one command.
+_TRAJECTORY_HEAD = ('{"flags": {"combined": %s, "reachable": %s, "resolvable": %s}, '
+                    '"index": ')
+_TRAJECTORY_ROW = '%s%d, "mu_approx": %r, "mu_exact": %r, "p_P": %r, "p_R": %r}\n'
+_JSON_BOOL = ("false", "true")
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, chunks) -> None:
+    """Write the concatenation of the str `chunks` (any iterable, consumed
+    once) to `path` through a temp file and a rename, so the file appears
+    whole or not at all, also when producing a chunk raises."""
+    if isinstance(chunks, str):
+        raise TypeError("atomic_write_text takes an iterable of str chunks, not a str")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -40,7 +52,7 @@ def write_number_state_csv(state: NumberState, path: str) -> None:
     amps = state.amplitudes
     rows = [_STATE_ROW % row
             for row in zip(range(amps.size), amps.real.tolist(), amps.imag.tolist())]
-    atomic_write_text(path, "n,re,im\n" + "".join(rows))
+    atomic_write_text(path, ("n,re,im\n", "".join(rows)))
 
 
 def read_number_state_csv(path: str) -> NumberState:
@@ -72,7 +84,7 @@ def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
         abs2 = [abs(v) ** 2 for v in vals]
     rows = [_WAVEFUNCTION_ROW % row
             for row in zip(coords, vals.real.tolist(), vals.imag.tolist(), abs2)]
-    atomic_write_text(path, "coord,re,im,abs2\n" + "".join(rows))
+    atomic_write_text(path, ("coord,re,im,abs2\n", "".join(rows)))
 
 
 def read_wavefunction_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -82,15 +94,30 @@ def read_wavefunction_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_json(obj, path: str) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, (json.dumps(obj, indent=2, sort_keys=True), "\n"))
 
 
-def write_json_lines(records, path: str) -> None:
-    text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-    atomic_write_text(path, text)
+def write_json_lines(chunks, path: str) -> None:
+    """Write already formatted JSON lines, such as the blocks of
+    `format_trajectory_lines`, streaming one chunk at a time."""
+    atomic_write_text(path, chunks)
+
+
+def format_trajectory_lines(first_index: int, p_P, p_R, mu_exact, mu_approx,
+                            resolvable, reachable, combined: bool) -> str:
+    """JSON lines of the trajectory records first_index, first_index+1, ...
+    from equal-length arrays of outcomes, mu values and condition flags;
+    each line equals json.dumps(record, sort_keys=True)."""
+    heads = [_TRAJECTORY_HEAD % (_JSON_BOOL[combined], reach, resolve)
+             for reach in _JSON_BOOL for resolve in _JSON_BOOL]
+    head_index = (2 * reachable + resolvable).tolist()
+    rows = zip(map(heads.__getitem__, head_index),
+               range(first_index, first_index + len(head_index)),
+               mu_approx.tolist(), mu_exact.tolist(), p_P.tolist(), p_R.tolist())
+    return "".join([_TRAJECTORY_ROW % row for row in rows])
 
 
 def write_histogram_csv(edges: np.ndarray, counts: np.ndarray, path: str) -> None:
     edges = np.asarray(edges).tolist()
     rows = [_HISTOGRAM_ROW % row for row in zip(edges[:-1], edges[1:], map(int, counts))]
-    atomic_write_text(path, "bin_left,bin_right,count\n" + "".join(rows))
+    atomic_write_text(path, ("bin_left,bin_right,count\n", "".join(rows)))

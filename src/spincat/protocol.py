@@ -42,7 +42,8 @@ _LOG_IMPROBABLE = math.log(1e-300)
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    """Record of one full protocol run."""
+    """Record of one full protocol run.  `state_file` names the state CSV
+    relative to the directory the trace is written to."""
 
     seed: int
     xi2: float
@@ -185,8 +186,32 @@ def sample_second_outcome(state: NumberState, beta: float, rng: RandomSource) ->
     return rng.normal(beta * idx, np.sqrt(0.5))
 
 
+def outcome_sampler(alpha: float, state: NumberState, beta: float):
+    """Array sampler of both outcome laws: p_P ~ N(0, (1+alpha**2)/2) as in
+    `sample_first_outcome`, and p_R by `sample_second_outcome`'s two stages
+    on the normalized `state`.  The outcome CDF over n is built once;
+    returns draw(generator, size) -> (p_P, p_R), which takes `size` p_P
+    normals, then `size` uniforms for n, then `size` p_R normals from the
+    numpy Generator."""
+    if beta < 0.0:
+        raise DomainError(f"beta must be >= 0, got {beta}")
+    scale_P = np.sqrt((1.0 + alpha * alpha) / 2.0)
+    cum = np.cumsum(np.abs(state.amplitudes) ** 2)
+    cum /= cum[-1]
+
+    def draw(generator: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        p_P = generator.normal(0.0, scale_P, size)
+        n = np.minimum(np.searchsorted(cum, generator.random(size), side="right"),
+                       state.n_max)
+        p_R = generator.normal(beta * n, np.sqrt(0.5))
+        return p_P, p_R
+
+    return draw
+
+
 def mu_of_outcome(p_R: float, beta: float, xi2: float) -> tuple[float, float]:
-    """Conditional mean flip number implied by the outcome p_R.
+    """Conditional mean flip number implied by the outcome p_R (a float or,
+    elementwise, an array).
 
     Returns (exact, approximate):
         exact  = p_R/beta + ln((xi2-1)/(xi2+1)) / (2 beta**2)

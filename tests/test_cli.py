@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,17 +14,21 @@ from helpers import reference_number_state_csv, reference_wavefunction_csv
 from spincat import (
     Basis,
     CatApproxParams,
+    alpha_from_xi2,
     apply_number_qnd,
     approx_p_wavefunction,
     approx_x_wavefunction,
+    check_cat_conditions,
     default_cat_grid,
     grid_for_state,
+    mu_of_outcome,
+    outcome_sampler,
     riemann_normalize,
     squeezed_state_exact,
     squeezed_state_stirling,
     to_quadrature,
 )
-from spincat.cli import main
+from spincat.cli import TRAJECTORY_BLOCK, main
 from spincat.io import read_number_state_csv
 from spincat.state import effective_max_index
 
@@ -150,12 +156,16 @@ def test_cat_sampled_outcome_is_deterministic(tmp_path, capsys):
     code_b, _, _ = run_cli(capsys, "cat", "--xi2", "20", "--beta", "0.3333",
                            "--sample", "--seed", "7", "--out-dir", str(dir_b))
     assert code_a == code_b == 0
-    assert (dir_a / "cat_metrics.json").read_bytes() == \
-        (dir_b / "cat_metrics.json").read_bytes()
-    assert (dir_a / "cat_state.csv").read_bytes() == \
-        (dir_b / "cat_state.csv").read_bytes()
+    # every file, the trace with its state_file too, is independent of
+    # the output directory
+    names = sorted(path.name for path in dir_a.iterdir())
+    assert names == sorted(path.name for path in dir_b.iterdir())
+    assert "cat_trace.json" in names
+    for name in names:
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
     trace = json.loads((dir_a / "cat_trace.json").read_text())
     assert trace["p_P"] is not None
+    assert trace["state_file"] == "cat_state.csv"
 
 
 def test_cat_unresolvable_outcome_flags(tmp_path, capsys):
@@ -227,6 +237,67 @@ def test_trajectories_byte_identical_rerun(tmp_path, capsys):
         assert code == 0
     assert (dir_a / "trajectories.jsonl").read_bytes() == \
         (dir_b / "trajectories.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def two_block_trajectories(tmp_path_factory):
+    """One trajectories run whose count crosses a block boundary, and its
+    stdout document."""
+    out_dir = tmp_path_factory.mktemp("two_blocks")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["trajectories", "--xi2", "20", "--beta", repr(1.0 / 3.0),
+                     "--count", str(TRAJECTORY_BLOCK + 10), "--seed", "9",
+                     "--out-dir", str(out_dir)])
+    assert code == 0
+    return out_dir, json.loads(stdout.getvalue())
+
+
+def test_trajectories_prefix_does_not_depend_on_count(tmp_path, capsys,
+                                                      two_block_trajectories):
+    long_dir, _ = two_block_trajectories
+    code, _, _ = run_cli(capsys, "trajectories", "--xi2", "20",
+                         "--beta", repr(1.0 / 3.0), "--count", "10",
+                         "--seed", "9", "--out-dir", str(tmp_path))
+    assert code == 0
+    short = (tmp_path / "trajectories.jsonl").read_text().splitlines()
+    long = (long_dir / "trajectories.jsonl").read_text().splitlines()
+    assert len(short) == 10 and len(long) == TRAJECTORY_BLOCK + 10
+    assert short == long[:10]
+
+
+def test_trajectories_lines_match_scalar_records(two_block_trajectories):
+    out_dir, result = two_block_trajectories
+    beta, xi2, seed = 1.0 / 3.0, 20.0, 9
+    lines = (out_dir / "trajectories.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for line, record in zip(lines, records):
+        assert json.dumps(record, sort_keys=True) == line
+
+    # record i is entry i % TRAJECTORY_BLOCK of block i // TRAJECTORY_BLOCK,
+    # drawn from default_rng([seed, block]); its fields follow from p_R by
+    # the scalar functions
+    state = squeezed_state_exact(xi2, result["summary"]["n_max"])
+    draw = outcome_sampler(alpha_from_xi2(xi2), state, beta)
+    blocks = [draw(np.random.default_rng([seed, b]), TRAJECTORY_BLOCK) for b in (0, 1)]
+    checked = list(range(200)) + list(range(TRAJECTORY_BLOCK - 5, len(records)))
+    for i in checked:
+        record = records[i]
+        block, position = divmod(i, TRAJECTORY_BLOCK)
+        p_p, p_r = (column[position] for column in blocks[block])
+        mu_exact, mu_approx = mu_of_outcome(record["p_R"], beta, xi2)
+        resolvable, reachable, combined = check_cat_conditions(mu_exact, beta, xi2)
+        assert record == {
+            "index": i, "p_P": p_p, "p_R": p_r, "mu_exact": mu_exact,
+            "mu_approx": mu_approx,
+            "flags": {"resolvable": resolvable, "reachable": reachable,
+                      "combined": combined},
+        }
+    fraction = sum(r["flags"]["resolvable"] for r in records) / len(records)
+    assert result["summary"]["fraction_resolvable"] == fraction
+    p_r = np.array([r["p_R"] for r in records])
+    assert result["summary"]["p_R_mean"] == float(p_r.mean())
+    assert result["summary"]["p_R_std"] == float(p_r.std())
 
 
 def test_trajectories_resolvable_fraction_matches_mixture_mass(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """The CSV writers against one-value-at-a-time reference writers: the
-files must be equal byte for byte, on adversarial values too."""
+files must be equal byte for byte, on adversarial values too.  The atomic
+chunk writer under them."""
+
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ from helpers import (
 from spincat import Basis, NumberState, QuadratureGrid, squeezed_state_exact, to_quadrature
 from spincat.errors import DomainError
 from spincat.io import (
+    atomic_write_text,
     format_coords,
+    format_trajectory_lines,
     write_histogram_csv,
     write_number_state_csv,
     write_wavefunction_csv,
@@ -128,3 +133,46 @@ def test_histogram_csv_bytes_adversarial(tmp_path):
                  (np.histogram([0.1, 0.2, 0.2], bins=3)[1], np.array([1, 0, 2]))):
         assert written(tmp_path, write_histogram_csv, e, c) == \
             reference_histogram_csv(e, c).encode()
+
+
+def test_atomic_write_chunks_equal_joined_text(tmp_path):
+    chunks = ["n,re,im\n", "", "0,1,0\n" * 1000, "1,-0,5e-324\n"]
+    path = tmp_path / "out.txt"
+    atomic_write_text(str(path), iter(chunks))
+    assert path.read_bytes() == "".join(chunks).encode()
+
+
+def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path):
+    def chunks():
+        yield "first line\n"
+        raise RuntimeError("producer failed")
+
+    path = tmp_path / "out.txt"
+    with pytest.raises(RuntimeError):
+        atomic_write_text(str(path), chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_rejects_a_bare_str(tmp_path):
+    with pytest.raises(TypeError):
+        atomic_write_text(str(tmp_path / "out.txt"), "n,re,im\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("combined", [False, True])
+def test_trajectory_lines_equal_json_dumps(combined):
+    finite = np.array([v for v in SPECIAL if np.isfinite(v)])
+    p_p = np.resize(finite, 40)
+    p_r = np.resize(finite[::-1], 40)
+    mu_exact, mu_approx = np.resize(finite[3:], 40), -p_r
+    resolvable = np.arange(40) % 2 == 0
+    reachable = np.arange(40) % 4 < 2
+    text = format_trajectory_lines(2 ** 40, p_p, p_r, mu_exact, mu_approx,
+                                   resolvable, reachable, combined)
+    expected = "".join(json.dumps({
+        "index": 2 ** 40 + i, "p_P": p_p[i], "p_R": p_r[i],
+        "mu_exact": mu_exact[i], "mu_approx": mu_approx[i],
+        "flags": {"resolvable": bool(resolvable[i]), "reachable": bool(reachable[i]),
+                  "combined": combined},
+    }, sort_keys=True) + "\n" for i in range(40))
+    assert text == expected

@@ -19,6 +19,7 @@ from spincat import (
     mean_occupation,
     mu_of_outcome,
     outcome_density_second,
+    outcome_sampler,
     quadrature_variances,
     sample_first_outcome,
     sample_second_outcome,
@@ -272,6 +273,50 @@ def test_sample_second_outcome_reproducible():
     a = sample_second_outcome(state, BETA_FIG, RandomSource(5))
     b = sample_second_outcome(state, BETA_FIG, RandomSource(5))
     assert a == b
+
+
+def test_outcome_sampler_p_r_matches_mixture():
+    state = squeezed_state_exact(20.0, 230)
+    draw = outcome_sampler(alpha_from_xi2(20.0), state, BETA_FIG)
+    _, p_r = draw(np.random.default_rng(1234), 100_000)
+    stat, dof = chi_square_vs_mixture(p_r, state.amplitudes, BETA_FIG,
+                                      np.linspace(-3.0, 25.0, 57))
+    assert stat < chi2.ppf(0.99, dof)
+
+
+@pytest.mark.parametrize("xi2", [1.0, 20.0])
+def test_outcome_sampler_p_p_variance(xi2):
+    alpha = alpha_from_xi2(xi2)
+    count = 100_000
+    draw = outcome_sampler(alpha, squeezed_state_exact(xi2, 230), BETA_FIG)
+    p_p, _ = draw(np.random.default_rng(42), count)
+    var = (1.0 + alpha * alpha) / 2.0
+    # the sample variance of a normal has standard error var * sqrt(2/count)
+    assert abs(p_p.var() - var) < 5.0 * var * np.sqrt(2.0 / count)
+    assert abs(p_p.mean()) < 5.0 * np.sqrt(var / count)
+
+
+def test_outcome_sampler_vacuum_law():
+    state = NumberState(np.array([1.0]))
+    _, p_r = outcome_sampler(0.0, state, 1.0)(np.random.default_rng(11), 100_000)
+    assert kstest(p_r, "norm", args=(0.0, np.sqrt(0.5))).pvalue > 0.01
+
+
+def test_outcome_sampler_reproducible_and_rejects_negative_beta():
+    state = squeezed_state_exact(20.0, 230)
+    draw = outcome_sampler(alpha_from_xi2(20.0), state, BETA_FIG)
+    a = draw(np.random.default_rng([5, 0]), 1000)
+    b = draw(np.random.default_rng([5, 0]), 1000)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    with pytest.raises(DomainError):
+        outcome_sampler(0.0, state, -0.1)
+
+
+def test_mu_of_outcome_arrays_match_scalars():
+    p_r = np.random.default_rng(8).normal(2.0, 3.0, 500)
+    exact, approx = mu_of_outcome(p_r, BETA_FIG, 20.0)
+    for value, e, a in zip(p_r.tolist(), exact.tolist(), approx.tolist()):
+        assert (e, a) == mu_of_outcome(value, BETA_FIG, 20.0)
 
 
 # ---------------------------------------------------------------------------
