@@ -32,7 +32,6 @@ from .protocol import (
     ProtocolTrace,
     alpha_from_xi2,
     apply_number_qnd,
-    conditional_first_step,
     mu_of_outcome,
     outcome_density_second,
     outcome_sampler,

@@ -52,8 +52,8 @@ class CatApproxParams:
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(f"beta must be finite and positive, got {self.beta}")
+        if not (np.isfinite(self.beta * self.beta) and self.beta > 0.0):
+            raise DomainError(f"beta must be positive with a finite square, got {self.beta}")
         if not np.isfinite(self.mu):
             raise DomainError(f"mu must be finite, got {self.mu}")
 

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -66,50 +66,54 @@ EXIT_IMPROBABLE = 4
 TRAJECTORY_BLOCK = 8192
 
 
-class ConfigError(Exception):
-    pass
+@dataclass(frozen=True)
+class Field:
+    """A flag and config field.  The flag is `--` and the name with `-` for
+    `_`; a config file gives the value in the JSON type of the flag."""
+
+    kind: type = float          # float, int, bool or str
+    default: object = None
+    required: bool = False
+    minimum: float | None = None
+    strict: bool = False        # the minimum itself is out of bounds
+    maximum: int | None = None
+    choices: tuple = ()
+    help: str | None = None
 
 
-@dataclass
-class SqueezeConfig:
-    xi2: float
-    n_max: int | None
-    tail_tol: float
-    out_dir: str
-    grid_half_width: float | None
-    grid_count: int | None
+_XI2 = Field(required=True, minimum=1.0, strict=True)
+_BETA = Field(required=True, minimum=0.0, strict=True)
+_TAIL_TOL = Field(default=1e-10, minimum=0.0, strict=True)
+_SEED = Field(int, default=0, minimum=0, maximum=2 ** 64 - 1)
+_GRID = {"grid_half_width": Field(minimum=0.0, strict=True),
+         "grid_count": Field(int, minimum=2)}
+_OUT_DIR = Field(str, default=".")
+# ExperimentalParams checks their bounds and gives the defaults.
+_PARAMS = fields(ExperimentalParams)
 
-
-@dataclass
-class CatConfig:
-    xi2: float
-    beta: float
-    pr: float | None
-    pr_over_beta: float | None
-    sample: bool
-    seed: int
-    tail_tol: float
-    out_dir: str
-    grid_half_width: float | None
-    grid_count: int | None
-
-
-@dataclass
-class TrajectoriesConfig:
-    xi2: float
-    beta: float
-    count: int
-    seed: int
-    bins: int
-    tail_tol: float
-    out_dir: str
-
-
-@dataclass
-class FeasibilityConfig:
-    params: ExperimentalParams
-    preset: str | None
-    out_dir: str
+FIELDS = {
+    "squeeze": {
+        "xi2": replace(_XI2, strict=False), "n_max": Field(int, minimum=0),
+        "tail_tol": _TAIL_TOL, **_GRID, "out_dir": _OUT_DIR,
+    },
+    "cat": {
+        "xi2": _XI2, "beta": _BETA,
+        "pr": Field(help="explicit second-step outcome p_R"),
+        "pr_over_beta": Field(help="second-step outcome given as p_R/beta"),
+        "sample": Field(bool, default=False, help="draw both outcomes from the seeded stream"),
+        "tail_tol": _TAIL_TOL, "seed": _SEED, **_GRID, "out_dir": _OUT_DIR,
+    },
+    "trajectories": {
+        "xi2": _XI2, "beta": _BETA, "count": Field(int, required=True, minimum=1),
+        "bins": Field(int, default=100, minimum=1), "tail_tol": _TAIL_TOL,
+        "seed": _SEED, "out_dir": _OUT_DIR,
+    },
+    "feasibility": {
+        "preset": Field(str, choices=tuple(sorted(PRESETS))),
+        **{p.name: Field(int if p.name == "n_atoms" else float) for p in _PARAMS},
+        "out_dir": _OUT_DIR,
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -123,233 +127,127 @@ def build_parser() -> argparse.ArgumentParser:
                     "squeezed and cat states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sq = sub.add_parser("squeeze", help="prepare and analyze a squeezed state")
-    sq.add_argument("--xi2", type=float)
-    sq.add_argument("--n-max", dest="n_max", type=int)
-    sq.add_argument("--tail-tol", dest="tail_tol", type=float)
-    _add_grid(sq)
-    _add_common(sq)
-
-    cat = sub.add_parser("cat", help="run both QND steps and analyze the cat state")
-    cat.add_argument("--xi2", type=float)
-    cat.add_argument("--beta", type=float)
-    cat.add_argument("--pr", type=float, help="explicit second-step outcome p_R")
-    cat.add_argument("--pr-over-beta", dest="pr_over_beta", type=float,
-                     help="second-step outcome given as p_R/beta")
-    cat.add_argument("--sample", action="store_const", const=True, default=None,
-                     help="draw both outcomes from the seeded stream")
-    cat.add_argument("--tail-tol", dest="tail_tol", type=float)
-    cat.add_argument("--seed", type=int)
-    _add_grid(cat)
-    _add_common(cat)
-
-    tr = sub.add_parser("trajectories", help="Monte Carlo over full protocol runs")
-    tr.add_argument("--xi2", type=float)
-    tr.add_argument("--beta", type=float)
-    tr.add_argument("--count", type=int)
-    tr.add_argument("--bins", type=int)
-    tr.add_argument("--tail-tol", dest="tail_tol", type=float)
-    tr.add_argument("--seed", type=int)
-    _add_common(tr)
-
-    fe = sub.add_parser("feasibility", help="experimental feasibility report")
-    fe.add_argument("--preset", choices=sorted(PRESETS))
-    fe.add_argument("--kappa0", type=float)
-    fe.add_argument("--gamma", type=float)
-    fe.add_argument("--delta", type=float)
-    fe.add_argument("--n-atoms", dest="n_atoms", type=float)
-    fe.add_argument("--n-photons", dest="n_photons", type=float)
-    fe.add_argument("--transmission", type=float)
-    fe.add_argument("--polarization", type=float)
-    fe.add_argument("--tau-c", dest="tau_c", type=float)
-    _add_common(fe)
-
+    for command, table in FIELDS.items():
+        cmd = sub.add_parser(command, help=_COMMANDS[command][0])
+        for name, field in table.items():
+            flag = "--" + name.replace("_", "-")
+            if field.kind is bool:
+                cmd.add_argument(flag, dest=name, action="store_const", const=True,
+                                 help=field.help)
+            else:
+                cmd.add_argument(flag, dest=name, choices=field.choices or None,
+                                 type=None if field.kind is str else number,
+                                 help=field.help)
+        cmd.add_argument("--config", help="JSON file with the same field names")
     return parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--config", help="JSON file with the same field names")
+def number(text: str) -> int | float:
+    """Number flag text as an int where it is one, so that no digit of a
+    large integer is lost, else as a float; _check takes it from there."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
-def _add_grid(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--grid-half-width", dest="grid_half_width", type=float)
-    sub.add_argument("--grid-count", dest="grid_count", type=int)
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Layer CLI flags over a JSON config file over hard defaults."""
+def _configure(args: argparse.Namespace) -> list:
+    """Layer CLI flags over a JSON config file over the table's defaults and
+    check every value against its field.  Once all pass, check the rules of
+    the command that tie several fields together.  Returns the problems."""
+    table = FIELDS[args.command]
     base = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as handle:
                 base = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
+        except (OSError, ValueError) as exc:
+            return [f"cannot read config file: {exc}"]
         if not isinstance(base, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(base) - set(defaults)
+            return ["config file must hold a JSON object"]
+        unknown = set(base) - set(table)
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    merged = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in base:
-            merged[key] = base[key]
-        else:
-            merged[key] = default
-    return merged
+            return [f"unknown config fields: {sorted(unknown)}"]
+    problems = []
+    for name, field in table.items():
+        value = getattr(args, name)
+        if value is None:
+            value = base.get(name)
+        setattr(args, name, _check(name, field, value, problems))
+    return problems or list(_COMMANDS[args.command][1](args))
 
 
-def _require_seed(problems, merged):
-    value = _require_number(problems, merged, "seed", kind=int)
-    if value is not None and not 0 <= value < 2 ** 64:
-        problems.append(f"seed must be a 64-bit unsigned integer, got {value}")
+# The JSON types a field of each kind takes, and their name in messages.
+_JSON_TYPES = {float: ((int, float), "a number"), int: ((int, float), "a number"),
+               bool: ((bool,), "true or false"), str: ((str,), "a string")}
 
 
-def _require_number(problems, merged, key, kind=float, minimum=None,
-                    strict=False, required=True):
-    value = merged.get(key)
+def _check(name: str, field: Field, value, problems: list):
+    """value as the field's kind, or its default when None; why a value is
+    missing, mistyped or out of bounds goes into problems.  A number field
+    takes an int or a float inside the double range, an int field only an
+    integral one."""
     if value is None:
-        if required:
-            problems.append(f"{key} is required")
+        if field.required:
+            problems.append(f"{name} is required")
+        return field.default
+    types, kind_name = _JSON_TYPES[field.kind]
+    if type(value) not in types:
+        problems.append(f"{name} must be {kind_name}, got {value!r}")
         return None
-    try:
-        value = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        problems.append(f"{key} must be a number, got {value!r}")
-        return None
-    if not math.isfinite(value):
-        problems.append(f"{key} must be finite, got {value}")
-        return None
-    if minimum is not None and (value <= minimum if strict else value < minimum):
-        op = ">" if strict else ">="
-        problems.append(f"{key} must be {op} {minimum}, got {value}")
-        return None
-    merged[key] = value
+    if field.kind in (int, float):
+        try:
+            as_float = float(value)
+        except OverflowError:
+            as_float = math.inf
+        if not math.isfinite(as_float) or not as_float.is_integer() and field.kind is int:
+            problem = "an integer" if math.isfinite(as_float) else "finite"
+            problems.append(f"{name} must be {problem}, got {value!r}")
+            return None
+        value = as_float if field.kind is float else int(value)
+    low = field.minimum
+    if low is not None and (value <= low if field.strict else value < low):
+        problems.append(f"{name} must be {'>' if field.strict else '>='} {low}, "
+                        f"got {value!r}")
+    elif field.maximum is not None and value > field.maximum:
+        problems.append(f"{name} must be <= {field.maximum}, got {value!r}")
+    elif field.choices and value not in field.choices:
+        problems.append(f"{name} must be one of {list(field.choices)}, got {value!r}")
     return value
 
 
-def _grid_override(problems, merged):
-    half = merged.get("grid_half_width")
-    count = merged.get("grid_count")
-    if (half is None) != (count is None):
-        problems.append("grid overrides require both grid_half_width and grid_count")
-    if half is not None:
-        _require_number(problems, merged, "grid_half_width", strict=True, minimum=0.0)
-    if count is not None:
-        _require_number(problems, merged, "grid_count", kind=int, minimum=2)
+def _grid_pair(cfg):
+    if (cfg.grid_half_width is None) != (cfg.grid_count is None):
+        yield "grid overrides require both grid_half_width and grid_count"
 
 
-def _config_squeeze(args) -> SqueezeConfig:
-    merged = _resolve(args, {
-        "xi2": None, "n_max": None, "tail_tol": 1e-10, "out_dir": ".",
-        "grid_half_width": None, "grid_count": None, "config": None,
-    })
-    problems = []
-    _require_number(problems, merged, "xi2", minimum=1.0)
-    _require_number(problems, merged, "tail_tol", strict=True, minimum=0.0)
-    if merged["n_max"] is not None:
-        n_max = _require_number(problems, merged, "n_max", kind=int, minimum=0)
-        if n_max is not None and n_max % 2:
-            problems.append(f"n_max must be even, got {n_max}")
-    _grid_override(problems, merged)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return SqueezeConfig(
-        xi2=merged["xi2"], n_max=merged["n_max"], tail_tol=merged["tail_tol"],
-        out_dir=merged["out_dir"], grid_half_width=merged["grid_half_width"],
-        grid_count=merged["grid_count"],
-    )
+def _squeeze_rules(cfg):
+    yield from _grid_pair(cfg)
+    if cfg.n_max is not None and cfg.n_max % 2:
+        yield f"n_max must be even, got {cfg.n_max}"
 
 
-def _config_cat(args) -> CatConfig:
-    merged = _resolve(args, {
-        "xi2": None, "beta": None, "pr": None, "pr_over_beta": None,
-        "sample": False, "seed": 0, "tail_tol": 1e-10, "out_dir": ".",
-        "grid_half_width": None, "grid_count": None, "config": None,
-    })
-    problems = []
-    _require_number(problems, merged, "xi2", strict=True, minimum=1.0)
-    _require_number(problems, merged, "beta", strict=True, minimum=0.0)
-    _require_seed(problems, merged)
-    _require_number(problems, merged, "tail_tol", strict=True, minimum=0.0)
-    _require_number(problems, merged, "pr", required=False)
-    _require_number(problems, merged, "pr_over_beta", required=False)
-    sources = sum([merged["pr"] is not None, merged["pr_over_beta"] is not None,
-                   bool(merged["sample"])])
-    if sources != 1:
-        problems.append("exactly one of pr, pr_over_beta or sample must be given")
-    _grid_override(problems, merged)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return CatConfig(
-        xi2=merged["xi2"], beta=merged["beta"], pr=merged["pr"],
-        pr_over_beta=merged["pr_over_beta"], sample=bool(merged["sample"]),
-        seed=merged["seed"], tail_tol=merged["tail_tol"], out_dir=merged["out_dir"],
-        grid_half_width=merged["grid_half_width"], grid_count=merged["grid_count"],
-    )
+def _cat_rules(cfg):
+    yield from _grid_pair(cfg)
+    if (cfg.pr is not None) + (cfg.pr_over_beta is not None) + cfg.sample != 1:
+        yield "exactly one of pr, pr_over_beta or sample must be given"
 
 
-def _config_trajectories(args) -> TrajectoriesConfig:
-    merged = _resolve(args, {
-        "xi2": None, "beta": None, "count": None, "seed": 0, "bins": 100,
-        "tail_tol": 1e-10, "out_dir": ".", "config": None,
-    })
-    problems = []
-    _require_number(problems, merged, "xi2", strict=True, minimum=1.0)
-    _require_number(problems, merged, "beta", strict=True, minimum=0.0)
-    _require_number(problems, merged, "count", kind=int, minimum=1)
-    _require_number(problems, merged, "bins", kind=int, minimum=1)
-    _require_seed(problems, merged)
-    _require_number(problems, merged, "tail_tol", strict=True, minimum=0.0)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return TrajectoriesConfig(
-        xi2=merged["xi2"], beta=merged["beta"], count=merged["count"],
-        seed=merged["seed"], bins=merged["bins"], tail_tol=merged["tail_tol"],
-        out_dir=merged["out_dir"],
-    )
-
-
-def _config_feasibility(args) -> FeasibilityConfig:
-    merged = _resolve(args, {
-        "preset": None, "kappa0": None, "gamma": None, "delta": None,
-        "n_atoms": None, "n_photons": None, "transmission": 1.0,
-        "polarization": 0.99, "tau_c": 0.1, "out_dir": ".", "config": None,
-    })
-    if merged["preset"] is not None:
-        if merged["preset"] not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {merged['preset']!r}; available: {sorted(PRESETS)}"
-            )
-        return FeasibilityConfig(params=PRESETS[merged["preset"]],
-                                 preset=merged["preset"], out_dir=merged["out_dir"])
-    problems = []
-    kappa0 = _require_number(problems, merged, "kappa0", strict=True, minimum=0.0)
-    gamma = _require_number(problems, merged, "gamma", strict=True, minimum=0.0)
-    delta = _require_number(problems, merged, "delta")
-    n_atoms = _require_number(problems, merged, "n_atoms", kind=int, minimum=1)
-    n_photons = _require_number(problems, merged, "n_photons", strict=True, minimum=0.0)
-    transmission = _require_number(problems, merged, "transmission",
-                                   strict=True, minimum=0.0)
-    polarization = _require_number(problems, merged, "polarization",
-                                   strict=True, minimum=0.0)
-    tau_c = _require_number(problems, merged, "tau_c", strict=True, minimum=0.0)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    try:
-        params = ExperimentalParams(
-            kappa0=kappa0, gamma=gamma, delta=delta, n_atoms=n_atoms,
-            n_photons=n_photons, transmission=transmission,
-            polarization=polarization, tau_c=tau_c,
-        )
-    except SpinCatError as exc:
-        raise ConfigError(str(exc))
-    return FeasibilityConfig(params=params, preset=None, out_dir=merged["out_dir"])
+def _feasibility_rules(cfg):
+    """Also sets cfg.params: the preset's, or built from the fields given."""
+    given = {p.name: getattr(cfg, p.name) for p in _PARAMS
+             if getattr(cfg, p.name) is not None}
+    if cfg.preset is not None:
+        cfg.params = PRESETS[cfg.preset]
+        yield from (f"preset excludes {name}" for name in given)
+    elif missing := [p.name for p in _PARAMS
+                     if p.default is MISSING and p.name not in given]:
+        yield from (f"{name} is required" for name in missing)
+    else:
+        try:
+            cfg.params = ExperimentalParams(**given)
+        except SpinCatError as exc:
+            yield str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +261,7 @@ def _output_grid(cfg, fallback: QuadratureGrid) -> QuadratureGrid:
     return fallback
 
 
-def run_squeeze(cfg: SqueezeConfig) -> dict:
+def run_squeeze(cfg: argparse.Namespace) -> dict:
     n_max = cfg.n_max
     if n_max is None:
         n_max = choose_truncation(cfg.xi2, 1.0, 0.0, cfg.tail_tol)
@@ -414,7 +312,7 @@ def _emit_state_family(state: NumberState, wavefunctions, coords: list[str],
         files[key] = path
 
 
-def run_cat(cfg: CatConfig) -> dict:
+def run_cat(cfg: argparse.Namespace) -> dict:
     alpha = alpha_from_xi2(cfg.xi2)
     base_n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0, cfg.tail_tol)
     base_state = squeezed_state_exact(cfg.xi2, base_n_max)
@@ -500,7 +398,7 @@ def run_cat(cfg: CatConfig) -> dict:
     return {"command": "cat", "files": files, "metrics": metrics_doc}
 
 
-def run_trajectories(cfg: TrajectoriesConfig) -> dict:
+def run_trajectories(cfg: argparse.Namespace) -> dict:
     """Trajectory i takes position i % TRAJECTORY_BLOCK of the block drawn
     from default_rng([seed, i // TRAJECTORY_BLOCK]); every block is drawn
     whole, so record i depends on the seed and i only."""
@@ -552,7 +450,7 @@ def run_trajectories(cfg: TrajectoriesConfig) -> dict:
     return {"command": "trajectories", "files": files, "summary": summary}
 
 
-def run_feasibility(cfg: FeasibilityConfig) -> dict:
+def run_feasibility(cfg: argparse.Namespace) -> dict:
     report = evaluate_scenario(cfg.params)
     os.makedirs(cfg.out_dir, exist_ok=True)
     doc = report.to_dict()
@@ -563,14 +461,16 @@ def run_feasibility(cfg: FeasibilityConfig) -> dict:
     return {"command": "feasibility", "files": {"report": path}, "report": doc}
 
 
+
 # ---------------------------------------------------------------------------
 # entry point
 
+# command: (help, rules checked after the fields, run function)
 _COMMANDS = {
-    "squeeze": (_config_squeeze, run_squeeze),
-    "cat": (_config_cat, run_cat),
-    "trajectories": (_config_trajectories, run_trajectories),
-    "feasibility": (_config_feasibility, run_feasibility),
+    "squeeze": ("prepare and analyze a squeezed state", _squeeze_rules, run_squeeze),
+    "cat": ("run both QND steps and analyze the cat state", _cat_rules, run_cat),
+    "trajectories": ("Monte Carlo over full protocol runs", lambda cfg: (), run_trajectories),
+    "feasibility": ("experimental feasibility report", _feasibility_rules, run_feasibility),
 }
 
 
@@ -581,15 +481,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
 
-    build_config, run = _COMMANDS[args.command]
-    try:
-        cfg = build_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    problems = _configure(args)
+    if problems:
+        print(f"config error: {'; '.join(problems)}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        result = run(cfg)
+        result = _COMMANDS[args.command][2](args)
     except ImprobableOutcomeError as exc:
         doc = {"error": str(exc), "kind": "improbable-outcome"}
         if getattr(exc, "density", None) is not None:

@@ -136,9 +136,9 @@ def cat_conditions_experimental(kappa0: float, n_atoms: float,
     if not 0.0 < transmission <= 1.0:
         raise DomainError(f"transmission must lie in (0, 1], got {transmission}")
     effective = 2.0 * kappa0 / transmission if transmission < 1.0 else kappa0
-    threshold = 4.0 * np.cbrt(n_atoms) ** 2
+    threshold = 4.0 * np.cbrt(float(n_atoms)) ** 2
     depth_ok = effective >= threshold * (1.0 - _DEPTH_REL_TOL)
-    return bool(depth_ok), float(np.cbrt(n_atoms))
+    return bool(depth_ok), float(np.cbrt(float(n_atoms)))
 
 
 def cavity_enhancement(value: float, transmission: float) -> float:
@@ -165,7 +165,7 @@ def rotation_tolerance(xi2: float, n_atoms: float) -> float:
     """Required inter-measurement rotation precision 1/(xi2 sqrt(N_a))."""
     if xi2 <= 0 or n_atoms <= 0:
         raise DomainError("xi2 and n_atoms must be positive")
-    return 1.0 / (xi2 * np.sqrt(n_atoms))
+    return 1.0 / (xi2 * np.sqrt(float(n_atoms)))
 
 
 def cat_lifetime(tau_c: float, xi2: float) -> float:
@@ -203,7 +203,7 @@ def evaluate_scenario(params: ExperimentalParams) -> FeasibilityReport:
     depth_ok, xi2_required = cat_conditions_experimental(
         params.kappa0, params.n_atoms, params.transmission)
     effective = kappa0_eff
-    threshold = 4.0 * np.cbrt(params.n_atoms) ** 2
+    threshold = 4.0 * np.cbrt(float(params.n_atoms)) ** 2
     if depth_ok:
         flag = "met"
     elif effective >= MARGINAL_FRACTION * threshold:

@@ -27,13 +27,11 @@ from .state import (
     Basis,
     NumberState,
     QuadratureGrid,
-    QuadratureWavefunction,
     RandomSource,
     _fock_quadrature_second_moments,
     effective_max_index,
     grid_for_state,
     quadrature_moment,
-    riemann_normalize,
     to_quadrature,
 )
 
@@ -104,23 +102,6 @@ def squeezed_state_stirling(xi2: float, n_max: int) -> NumberState:
 def _check_even_truncation(n_max: int) -> None:
     if n_max < 0 or n_max % 2:
         raise DomainError(f"n_max must be a non-negative even integer, got {n_max}")
-
-
-def conditional_first_step(alpha: float, p_P: float, grid: QuadratureGrid) -> QuadratureWavefunction:
-    """Atom wavefunction in x after the first measurement gave p_P:
-    values ~ exp(-(alpha*x - p_P)**2/2) * exp(-x**2/2), a Gaussian with
-    variance 1/(alpha**2+1) centered at alpha*p_P/(alpha**2+1)."""
-    if alpha < 0.0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
-    reach = 8.0 / np.sqrt(alpha * alpha + 1.0)
-    if grid.min > -reach or grid.max < reach:
-        raise DomainError(
-            f"grid [{grid.min}, {grid.max}] must cover +-{reach:.4g}"
-        )
-    x = grid.points()
-    expo = -0.5 * (alpha * x - p_P) ** 2 - 0.5 * x * x
-    values = np.exp(expo - expo.max()).astype(complex)
-    return riemann_normalize(QuadratureWavefunction(grid, values, Basis.X))
 
 
 def sample_first_outcome(alpha: float, rng: RandomSource) -> float:
@@ -217,12 +198,15 @@ def mu_of_outcome(p_R: float, beta: float, xi2: float) -> tuple[float, float]:
         exact  = p_R/beta + ln((xi2-1)/(xi2+1)) / (2 beta**2)
         approx = p_R/beta
     """
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    scale = 2.0 * beta * beta
+    if not (beta > 0.0 and scale > 0.0):
+        raise DomainError(f"beta must be positive with a nonzero square, got {beta}")
     if xi2 <= 1.0:
         raise DomainError(f"mu correction needs xi2 > 1, got {xi2}")
     mu_approx = p_R / beta
-    mu_exact = mu_approx + math.log((xi2 - 1.0) / (xi2 + 1.0)) / (2.0 * beta * beta)
+    mu_exact = mu_approx + math.log((xi2 - 1.0) / (xi2 + 1.0)) / scale
+    if not np.all(np.isfinite(mu_exact)):
+        raise DomainError(f"beta={beta} and the outcome give no finite mu")
     return mu_exact, mu_approx
 
 

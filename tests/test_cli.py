@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spincat
 from helpers import reference_number_state_csv, reference_wavefunction_csv
@@ -28,7 +30,7 @@ from spincat import (
     squeezed_state_stirling,
     to_quadrature,
 )
-from spincat.cli import TRAJECTORY_BLOCK, main
+from spincat.cli import FIELDS, TRAJECTORY_BLOCK, main
 from spincat.io import read_number_state_csv
 from spincat.state import effective_max_index
 
@@ -434,6 +436,151 @@ def test_config_fields_of_other_commands_exit_config(tmp_path, capsys, command, 
     assert out == ""
     assert "unknown config fields" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["cat", "--xi2", "20", "--beta", "0.3333", "--seed", "7"], {"sample": "no"}),
+    (["trajectories", "--xi2", "20", "--beta", "0.5"], {"count": 2.7}),
+    (["squeeze", "--xi2", "2", "--grid-half-width", "9"], {"grid_count": 512.9}),
+    (["feasibility", "--kappa0", "1e4", "--gamma", "1", "--delta", "100",
+      "--n-atoms", "1.7", "--n-photons", "32000"], {}),
+    (["cat", "--xi2", "20", "--beta", "0.3333", "--sample"], {"seed": True}),
+    (["feasibility"], {"preset": ["a"]}),
+    (["feasibility", "--preset", "bec-cavity"], {"out_dir": 5}),
+    (["feasibility", "--preset", "bec-cavity", "--kappa0", "-5"], {}),
+    (["squeeze"], {"xi2": "20"}),
+    (["squeeze", "--xi2", "20"], {"config": "x"}),
+], ids=["sample-string", "count-fraction", "grid-count-fraction", "n-atoms-fraction",
+        "seed-bool", "preset-list", "out-dir-number", "preset-and-kappa0",
+        "xi2-string", "config-in-config"])
+def test_mistyped_values_exit_config(tmp_path, capsys, monkeypatch, argv, fields):
+    """Every value passes the same check, from a flag or from a config file."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps(fields))
+    out_dir = [] if "out_dir" in fields else ["--out-dir", "out"]
+    code, out, err = run_cli(capsys, *argv, "--config", "run.json", *out_dir)
+    assert code == 2, err
+    assert out == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasibility", "--kappa0", "1e4", "--gamma", "1", "--delta", "100",
+     "--n-atoms", "4e5", "--n-photons", "32000"],
+    ["cat", "--xi2", "20", "--beta", "0.3333", "--sample",
+     "--seed", "18446744073709551615"],
+    ["trajectories", "--xi2", "20", "--beta", "0.5", "--count", "1e3"],
+], ids=["n-atoms-float-text", "largest-seed", "count-float-text"])
+def test_integral_numbers_run(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 0, err
+    result = stdout_json(out)
+    if argv[0] == "cat":
+        trace = json.loads(Path(result["files"]["trace"]).read_text())
+        assert trace["seed"] == 2 ** 64 - 1
+    elif argv[0] == "trajectories":
+        assert result["summary"]["count"] == 1000
+    else:
+        assert result["report"]["inputs"]["n_atoms"] == 400_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["cat", "--xi2", "1.0000000000000002", "--beta", "5e-324", "--pr", "0"],
+    ["cat", "--xi2", "1.0000000000000002", "--beta", "1e-15", "--pr", "1e300"],
+    ["cat", "--xi2", "1.0000000000000002", "--beta", "1e300", "--sample"],
+    ["trajectories", "--xi2", "2", "--beta", "5e-324", "--count", "1"],
+    ["feasibility", "--kappa0", "1e4", "--gamma", "1", "--delta", "100",
+     "--n-atoms", "1e300", "--n-photons", "32000"],
+], ids=["beta-square-underflows", "mu-overflows", "beta-square-overflows",
+        "trajectories-beta-square-underflows", "n-atoms-past-int64"])
+def test_extreme_numbers_exit_numeric(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["kind"] == "DomainError"
+
+
+# Numbers drawn for these fields are capped so that a run that succeeds
+# stays cheap: they size arrays, files and run times.  Nothing bounds the
+# sizes from above yet, and sizes near 1e20 end in a numpy traceback
+# (ROADMAP item 5).
+FUZZ_CAPS = {"xi2": 30.0, "count": 40, "bins": 40, "grid_count": 400, "n_max": 400}
+
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2 ** 64, 10 ** 400, -(10 ** 400)]), st.floats(),
+    st.text(max_size=6), st.lists(st.integers(), max_size=2))
+
+
+def _fuzz_values(field):
+    """Three times in four a value of the field's kind inside its bounds,
+    else anything."""
+    if field.choices:
+        fitting = st.sampled_from(field.choices)
+    elif field.kind is bool or field.kind is str:
+        fitting = st.from_type(field.kind)
+    elif field.kind is int:
+        low = (field.minimum or 0) + field.strict
+        fitting = st.integers(low, low + 50)
+    else:
+        low = field.minimum or 0.0
+        fitting = st.floats(low, low + 50.0, exclude_min=field.strict)
+    return st.integers(0, 3).flatmap(lambda i: fitting if i else FUZZ_VALUES)
+
+
+def _fuzz_value(name, value):
+    cap = FUZZ_CAPS.get(name)
+    if cap is not None and type(value) in (int, float) and value > cap:
+        return type(value)(cap)
+    return value
+
+
+def _flag_words(field, name, value):
+    """argv words for a drawn flag: a bool flag stands bare when true, any
+    other value follows its flag as text."""
+    if value is None:
+        return []
+    words = ["--" + name.replace("_", "-")]
+    if field is not None and field.kind is bool and isinstance(value, bool):
+        return words if value else []
+    return words + [repr(value) if isinstance(value, float) else str(value)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fuzz_fields_exit_codes(tmp_path_factory, data):
+    """Flags and config fields drawn from FIELDS, plus an unknown name,
+    with values of every JSON type: a run either succeeds with one JSON
+    object on stdout or exits with a documented code and nothing on it."""
+    command = data.draw(st.sampled_from(sorted(FIELDS)), label="command")
+    table = dict(FIELDS[command], bogus=None)
+    drawn = {name: data.draw(FUZZ_VALUES if field is None else _fuzz_values(field),
+                             label=name)
+             for name, field in table.items()
+             if field is not None and field.required or not data.draw(st.integers(0, 2))}
+    in_config = {name for name in drawn if data.draw(st.booleans())}
+    work = tmp_path_factory.mktemp("fuzz")
+    argv, config = [command], {}
+    for name, value in drawn.items():
+        value = _fuzz_value(name, value)
+        if name in in_config:
+            config[name] = value
+        else:
+            argv += _flag_words(table[name], name, value)
+    if config:
+        (work / "run.json").write_text(json.dumps(config))
+        argv += ["--config", str(work / "run.json")]
+    argv += ["--out-dir", str(work / "out")]
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        assert isinstance(json.loads(stdout.getvalue()), dict)
+    else:
+        assert stdout.getvalue() == ""
 
 
 def test_cli_import_leaves_scipy_signal_out():

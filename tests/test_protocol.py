@@ -10,12 +10,10 @@ from spincat import (
     DomainError,
     ImprobableOutcomeError,
     NumberState,
-    QuadratureGrid,
     RandomSource,
     alpha_from_xi2,
     apply_number_qnd,
     choose_truncation,
-    conditional_first_step,
     mean_occupation,
     mu_of_outcome,
     outcome_density_second,
@@ -125,41 +123,6 @@ def test_squeezed_variances(xi2):
 
 # ---------------------------------------------------------------------------
 # first QND step
-
-
-def test_conditional_first_step_uncoupled_is_vacuum():
-    grid = QuadratureGrid(-9.0, 9.0, 1024)
-    wf = conditional_first_step(0.0, 1.7, grid)
-    expected = np.pi ** -0.25 * np.exp(-grid.points() ** 2 / 2.0)
-    assert np.max(np.abs(wf.values - expected)) < 1e-10
-
-
-def test_conditional_first_step_centered_outcome_is_squeezed():
-    alpha = np.sqrt(19.0)
-    grid = QuadratureGrid(-4.0, 4.0, 2048)
-    wf = conditional_first_step(alpha, 0.0, grid)
-    xi2 = alpha ** 2 + 1.0
-    expected = (xi2 / np.pi) ** 0.25 * np.exp(-xi2 * grid.points() ** 2 / 2.0)
-    assert np.max(np.abs(wf.values - expected)) < 1e-10
-
-
-def test_conditional_first_step_moments():
-    alpha, p_p = np.sqrt(19.0), 2.0
-    grid = QuadratureGrid(-4.0, 4.0, 4096)
-    wf = conditional_first_step(alpha, p_p, grid)
-    pts = grid.points()
-    dens = wf.density()
-    mean = np.sum(pts * dens) / np.sum(dens)
-    var = np.sum((pts - mean) ** 2 * dens) / np.sum(dens)
-    assert mean == pytest.approx(alpha * p_p / 20.0, abs=1e-9)
-    # the amplitude Gaussian exp(-(alpha^2+1)(x-c)^2/2) has exponent
-    # parameter 1/20; the probability density is twice as narrow
-    assert 2.0 * var == pytest.approx(1.0 / 20.0, abs=1e-9)
-
-
-def test_conditional_first_step_requires_covering_grid():
-    with pytest.raises(DomainError):
-        conditional_first_step(0.0, 0.0, QuadratureGrid(-2.0, 2.0, 64))
 
 
 def test_sample_first_outcome_statistics():

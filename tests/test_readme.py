@@ -1,0 +1,37 @@
+"""The README's command-line examples run as written."""
+
+import contextlib
+import io
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+
+from spincat.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """argv lists of the `spincat` lines in the first shell block of the
+    "Command line" section, with backslash continuations joined."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("spincat ")]
+
+
+def test_readme_has_an_example_per_command():
+    assert {argv[0] for argv in readme_commands()} == {
+        "squeeze", "cat", "trajectories", "feasibility"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_runs(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    assert code == 0
+    assert json.loads(stdout.getvalue())["command"] == argv[0]
