@@ -47,6 +47,7 @@ from .state import (
     NumberState,
     QuadratureGrid,
     RandomSource,
+    _TRUNCATION_CAP,
     _expand,
     choose_truncation,
     default_cat_grid,
@@ -85,15 +86,19 @@ _XI2 = Field(required=True, minimum=1.0, strict=True)
 _BETA = Field(required=True, minimum=0.0, strict=True)
 _TAIL_TOL = Field(default=1e-10, minimum=0.0, strict=True)
 _SEED = Field(int, default=0, minimum=0, maximum=2 ** 64 - 1)
+# Upper bounds on sizes keep a mistyped size from ending in a numpy error
+# or a multi-gigabyte allocation.
+_MAX_POINTS = 2 ** 20
 _GRID = {"grid_half_width": Field(minimum=0.0, strict=True),
-         "grid_count": Field(int, minimum=2)}
+         "grid_count": Field(int, minimum=2, maximum=_MAX_POINTS)}
 _OUT_DIR = Field(str, default=".")
 # ExperimentalParams checks their bounds and gives the defaults.
 _PARAMS = fields(ExperimentalParams)
 
 FIELDS = {
     "squeeze": {
-        "xi2": replace(_XI2, strict=False), "n_max": Field(int, minimum=0),
+        "xi2": replace(_XI2, strict=False),
+        "n_max": Field(int, minimum=0, maximum=_TRUNCATION_CAP),
         "tail_tol": _TAIL_TOL, **_GRID, "out_dir": _OUT_DIR,
     },
     "cat": {
@@ -104,9 +109,10 @@ FIELDS = {
         "tail_tol": _TAIL_TOL, "seed": _SEED, **_GRID, "out_dir": _OUT_DIR,
     },
     "trajectories": {
-        "xi2": _XI2, "beta": _BETA, "count": Field(int, required=True, minimum=1),
-        "bins": Field(int, default=100, minimum=1), "tail_tol": _TAIL_TOL,
-        "seed": _SEED, "out_dir": _OUT_DIR,
+        "xi2": _XI2, "beta": _BETA,
+        "count": Field(int, required=True, minimum=1, maximum=10 ** 7),
+        "bins": Field(int, default=100, minimum=1, maximum=_MAX_POINTS),
+        "tail_tol": _TAIL_TOL, "seed": _SEED, "out_dir": _OUT_DIR,
     },
     "feasibility": {
         "preset": Field(str, choices=tuple(sorted(PRESETS))),
@@ -254,6 +260,17 @@ def _feasibility_rules(cfg):
 # commands
 
 
+class _OutDirError(Exception):
+    """The output directory cannot be created: a configuration error."""
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _OutDirError(f"cannot create out_dir {path!r}: {exc}") from exc
+
+
 def _output_grid(cfg, fallback: QuadratureGrid) -> QuadratureGrid:
     if cfg.grid_half_width is not None:
         return QuadratureGrid(-cfg.grid_half_width, cfg.grid_half_width,
@@ -278,7 +295,7 @@ def run_squeeze(cfg: argparse.Namespace) -> dict:
     wavefunctions = _expand(
         [(state, basis) for _, state in families for basis in (Basis.P, Basis.X)], grid)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     files = {}
     coords = io.format_coords(grid)
     for i, (prefix, state) in enumerate(families):
@@ -347,7 +364,7 @@ def run_cat(cfg: argparse.Namespace) -> dict:
     exact_p, exact_x = (riemann_normalize(wf) for wf in _expand(
         [(cat_state, Basis.P), (cat_state, Basis.X)], grid))
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     files = {}
     coords = io.format_coords(grid)
     path = os.path.join(cfg.out_dir, "cat_state.csv")
@@ -422,7 +439,7 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
             yield io.format_trajectory_lines(start, p_p, p_r, mu_exact, mu_approx,
                                              resolvable, reachable, combined)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     files = {}
     path = os.path.join(cfg.out_dir, "trajectories.jsonl")
     io.write_json_lines(blocks(), path)
@@ -452,7 +469,7 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
 
 def run_feasibility(cfg: argparse.Namespace) -> dict:
     report = evaluate_scenario(cfg.params)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     doc = report.to_dict()
     if cfg.preset is not None:
         doc["preset"] = cfg.preset
@@ -488,6 +505,9 @@ def main(argv=None) -> int:
 
     try:
         result = _COMMANDS[args.command][2](args)
+    except _OutDirError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ImprobableOutcomeError as exc:
         doc = {"error": str(exc), "kind": "improbable-outcome"}
         if getattr(exc, "density", None) is not None:

@@ -2,6 +2,12 @@
 summaries and reports, JSON lines for trajectories.  All writes are atomic
 (temp file then rename).  CSV fields carry 17 significant digits and JSON
 floats their shortest repr, both enough to round-trip doubles.
+
+Parity: a wavefunction whose values are a bitwise palindrome (every even
+state on a symmetric grid) has only the re,im,abs2 fields of its upper
+half formatted, and a bitwise antisymmetric grid only its positive
+coordinates; the lower half reuses that text, so the bytes are those of
+formatting every point.
 """
 
 from __future__ import annotations
@@ -13,14 +19,14 @@ import tempfile
 import numpy as np
 
 from .errors import DomainError
-from .state import NumberState, QuadratureGrid, QuadratureWavefunction
+from .state import NumberState, QuadratureGrid, QuadratureWavefunction, _same_bits
 
 
 # Row templates applied to zipped columns of Python numbers; "%.17g" gives
 # the same text as f"{x:.17g}", faster.
 _FIELD = "%.17g"
 _STATE_ROW = "%d,%.17g,%.17g\n"
-_WAVEFUNCTION_ROW = "%s,%.17g,%.17g,%.17g\n"
+_WAVEFUNCTION_TAIL = ",%.17g,%.17g,%.17g\n"
 _HISTOGRAM_ROW = "%.17g,%.17g,%d\n"
 # One trajectory record as json.dumps(record, sort_keys=True) writes it; the
 # head holds the flags, which take four values within one command.
@@ -61,8 +67,16 @@ def read_number_state_csv(path: str) -> NumberState:
 
 
 def format_coords(grid: QuadratureGrid) -> list[str]:
-    """The formatted coordinate column of a wavefunction CSV on `grid`."""
-    return [_FIELD % x for x in grid.points().tolist()]
+    """The formatted coordinate column of a wavefunction CSV on `grid`.  On
+    a bitwise antisymmetric grid whose mirrored upper points are positive,
+    the lower half is the upper half's text behind a "-"."""
+    points = grid.points()
+    half = grid.count // 2
+    if not (_same_bits(-points[:half], points[::-1][:half])
+            and points[grid.count - half:].min() > 0.0):
+        half = 0
+    upper = [_FIELD % x for x in points[half:].tolist()]
+    return ["-" + text for text in upper[::-1][:half]] + upper
 
 
 def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
@@ -76,14 +90,20 @@ def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
             f"{len(coords)} coordinates for a grid of {wf.grid.count} points"
         )
     vals = wf.values
+    half = wf.grid.count // 2
+    if not _same_bits(vals[:half], vals[::-1][:half]):
+        half = 0
+    upper = vals[half:]
     # Python's abs per element: np.abs(vals) ** 2 can differ in the last ulp.
     try:
-        abs2 = [abs(v) ** 2 for v in vals.tolist()]
+        abs2 = [abs(v) ** 2 for v in upper.tolist()]
     except OverflowError:
         # A Python float raises where numpy's scalar gives inf (|v| > 1.3e154).
-        abs2 = [abs(v) ** 2 for v in vals]
-    rows = [_WAVEFUNCTION_ROW % row
-            for row in zip(coords, vals.real.tolist(), vals.imag.tolist(), abs2)]
+        abs2 = [abs(v) ** 2 for v in upper]
+    tails = [_WAVEFUNCTION_TAIL % row
+             for row in zip(upper.real.tolist(), upper.imag.tolist(), abs2)]
+    tails = tails[::-1][:half] + tails
+    rows = map(str.__add__, coords, tails)
     atomic_write_text(path, ("coord,re,im,abs2\n", "".join(rows)))
 
 

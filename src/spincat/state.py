@@ -16,6 +16,11 @@ Conventions used throughout:
   independent check of that identity;
 * expansions that share a grid share one pass of the recurrence
   (`_expand`), one sum per (state, basis) pair;
+* parity: rounding is symmetric under negation, so the recurrence gives
+  phi_n(-u) = (-1)**n phi_n(u) bit for bit up to the sign of a zero,
+  which a sum started at +0 never shows; a sum over even n only is
+  therefore evaluated on the upper half of a bitwise antisymmetric grid
+  and mirrored, with the same bits as the full evaluation;
 * continuous integrals are midpoint Riemann sums on uniform grids.
 """
 
@@ -337,8 +342,11 @@ def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
     are bitwise those of separate passes.  A sum whose coefficients are
     all real (squeezed and cat states: i**n is +-1 on even n) accumulates
     in real arithmetic; the complex sum would give the same real parts and
-    an imaginary part of exactly +0.  Every pair is checked before the
-    pass, and the first one that fails raises.
+    an imaginary part of exactly +0.  When every pair has exactly zero
+    coefficients at odd n and the grid is bitwise antisymmetric, the
+    recurrence runs on the upper half of the grid only and each sum is
+    mirrored onto the lower half (see the module's parity note).  Every
+    pair is checked before the pass, and the first one that fails raises.
     """
     sums = []
     for state, basis in pairs:
@@ -357,13 +365,28 @@ def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
             coeffs = coeffs * _I_POWERS[np.arange(n_eff + 1) % 4]
         if not np.any(coeffs.imag):
             coeffs = coeffs.real
-        sums.append((basis, coeffs, np.zeros(grid.count, dtype=coeffs.dtype)))
+        sums.append((basis, coeffs))
+    points = grid.points()
+    half = grid.count // 2
+    if any(np.any(coeffs[1::2]) for _, coeffs in sums) or not _same_bits(
+            -points[:half], points[::-1][:half]):
+        half = 0
+    sums = [(basis, coeffs, np.zeros(grid.count - half, dtype=coeffs.dtype))
+            for basis, coeffs in sums]
     n_top = max(coeffs.size for _, coeffs, _ in sums) - 1
-    for n, row in enumerate(_hermite_rows(n_top, grid.points())):
+    for n, row in enumerate(_hermite_rows(n_top, points[half:])):
         for _, coeffs, values in sums:
             if n < coeffs.size and coeffs[n] != 0.0:
                 values += coeffs[n] * row
-    return [QuadratureWavefunction(grid, values, basis) for basis, _, values in sums]
+    return [QuadratureWavefunction(grid, np.concatenate((values[::-1][:half], values)),
+                                   basis) for basis, _, values in sums]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b hold the same bits, so that -0.0 and +0.0 differ and
+    so do NaNs with different payloads."""
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
 
 
 def fourier_pair(wf: QuadratureWavefunction) -> QuadratureWavefunction:

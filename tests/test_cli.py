@@ -500,10 +500,41 @@ def test_extreme_numbers_exit_numeric(tmp_path, capsys, argv):
     assert json.loads(err)["kind"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv, name, bound", [
+    (["squeeze", "--xi2", "20"], "n_max", 4096),
+    (["squeeze", "--xi2", "2", "--grid-half-width", "5"], "grid_count", 2 ** 20),
+    (["trajectories", "--xi2", "20", "--beta", "0.5", "--count", "10"], "bins", 2 ** 20),
+    (["trajectories", "--xi2", "20", "--beta", "0.5"], "count", 10 ** 7),
+])
+@pytest.mark.parametrize("past", ["bound+1", "1e20"])
+def test_sizes_past_their_bound_exit_config(tmp_path, capsys, argv, name, bound, past):
+    value = str(bound + 1) if past == "bound+1" else "1e20"
+    flag = "--" + name.replace("_", "-")
+    code, out, err = run_cli(capsys, *argv, flag, value, "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and f"{name} must be <= {bound}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out_dir", ["", "file/sub"], ids=["empty", "under-a-file"])
+def test_out_dir_that_cannot_be_created_exits_config(tmp_path, capsys, monkeypatch,
+                                                     out_dir):
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("")
+    code, out, err = run_cli(capsys, "feasibility", "--preset", "bec-cavity",
+                             "--out-dir", out_dir)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: cannot create out_dir")
+    assert "Traceback" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
+
 # Numbers drawn for these fields are capped so that a run that succeeds
-# stays cheap: they size arrays, files and run times.  Nothing bounds the
-# sizes from above yet, and sizes near 1e20 end in a numpy traceback
-# (ROADMAP item 5).
+# stays cheap: they size arrays, files and run times, and the upper bounds
+# in FIELDS still allow sizes that take seconds to minutes a run.
 FUZZ_CAPS = {"xi2": 30.0, "count": 40, "bins": 40, "grid_count": 400, "n_max": 400}
 
 FUZZ_VALUES = st.one_of(

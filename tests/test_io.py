@@ -110,6 +110,85 @@ def test_wavefunction_csv_bytes_squeezed_state(tmp_path):
             reference_wavefunction_csv(wf).encode()
 
 
+def mirrored(upper: np.ndarray, count: int) -> np.ndarray:
+    """The bitwise palindrome of `count` values whose upper half, from
+    index count // 2 on, is the start of `upper`."""
+    upper = upper[:count - count // 2]
+    return np.concatenate((upper[::-1][:count // 2], upper))
+
+
+def nan_with_payload(payload: int) -> float:
+    return float(np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(float)[0])
+
+
+@pytest.mark.parametrize("count", [2, 3, 8, 9, 361, 362])
+def test_palindromic_wavefunction_csv_bytes(tmp_path, count):
+    grid = QuadratureGrid(-6.5, 6.5, count)
+    rng = np.random.default_rng(count)
+    cases = [
+        adversarial_values(count),
+        abs2_mismatch_values(count),
+        complex_array(rng.normal(size=count), rng.normal(size=count)),
+        complex_array(rng.normal(size=count), np.zeros(count)),
+        complex_array([nan_with_payload(5)] * count, [-0.0] * count),
+    ]
+    with np.errstate(over="ignore"):
+        for upper in cases:
+            values = mirrored(np.resize(upper, count), count)
+            assert values.tobytes() == values[::-1].tobytes()
+            wf = QuadratureWavefunction(grid, values, Basis.P)
+            expected = reference_wavefunction_csv(wf).encode()
+            assert written(tmp_path, write_wavefunction_csv, wf) == expected
+            assert written(tmp_path, write_wavefunction_csv, wf,
+                           coords=format_coords(grid)) == expected
+
+
+@pytest.mark.parametrize("count", [2, 7, 64])
+@pytest.mark.parametrize("left, right", [
+    (0.0, -0.0), (complex(1.5, 0.0), complex(1.5, -0.0)),
+    (nan_with_payload(1), nan_with_payload(2)),
+    (complex(0.25, nan_with_payload(1)), complex(0.25, -nan_with_payload(1))),
+    (1.0 / 3.0, np.nextafter(1.0 / 3.0, 1.0)),
+    (complex(2.0, -1e-300), complex(2.0, np.nextafter(-1e-300, 0.0))),
+], ids=["signed-zero", "signed-zero-imag", "nan-payload", "nan-sign", "one-ulp",
+        "one-ulp-imag"])
+def test_near_palindromic_wavefunction_csv_bytes(tmp_path, count, left, right):
+    """Values whose mirror pair differs in nothing but its bits take the
+    general path and still write every point's own text."""
+    rng = np.random.default_rng(count)
+    values = mirrored(rng.normal(size=count) + 1j * rng.normal(size=count), count)
+    values[0], values[-1] = left, right
+    assert values.tobytes() != values[::-1].tobytes()
+    wf = QuadratureWavefunction(QuadratureGrid(-3.0, 3.0, count), values, Basis.X)
+    assert written(tmp_path, write_wavefunction_csv, wf) == \
+        reference_wavefunction_csv(wf).encode()
+
+
+class PointsGrid(QuadratureGrid):
+    """A grid with given points, for shapes that QuadratureGrid never makes."""
+
+    def __init__(self, points):
+        super().__init__(-1.0, 1.0, len(points))
+        object.__setattr__(self, "given", np.array(points, dtype=float))
+
+    def points(self):
+        return self.given.copy()
+
+
+@pytest.mark.parametrize("grid", [
+    QuadratureGrid(-6.0, 6.0, 2), QuadratureGrid(-6.0, 6.0, 3),
+    QuadratureGrid(-12.0, 12.0, 2048), QuadratureGrid(-12.0, 12.0, 301),
+    QuadratureGrid(-1e-300, 1e-300, 7), QuadratureGrid(-1e300, 1e300, 10),
+    QuadratureGrid(-1.0, 1.0000001, 64), QuadratureGrid(-3.25, 17.5, 361),
+    QuadratureGrid(0.5, 2.0, 9),
+    QuadratureGrid(-5e-324, 5e-324, 4), QuadratureGrid(-5e-324, 5e-324, 5),
+    PointsGrid([-1.0, 0.0, -0.0, 1.0]), PointsGrid([-1.0, -0.0, 0.0, 1.0]),
+    PointsGrid([-2.0, -1.0, 0.0, 1.0, 2.0]), PointsGrid([-2.0, 0.0, -0.0, 0.0, 2.0]),
+], ids=lambda g: f"{g.points()[0]:g}:{g.points()[-1]:g}:{g.count}")
+def test_format_coords_equals_formatting_each_point(grid):
+    assert format_coords(grid) == ["%.17g" % x for x in grid.points()]
+
+
 def test_wavefunction_csv_rejects_coords_of_another_grid(tmp_path):
     wf = wavefunction(QuadratureGrid(-1.0, 1.0, 8), np.ones(8))
     with pytest.raises(DomainError):

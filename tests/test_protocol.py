@@ -7,13 +7,18 @@ from scipy.stats import chi2, kstest
 from helpers import brute_force_number_qnd, chi_square_vs_mixture
 from spincat import (
     Basis,
+    CatApproxParams,
     DomainError,
     ImprobableOutcomeError,
     NumberState,
     RandomSource,
+    QuadratureGrid,
     alpha_from_xi2,
     apply_number_qnd,
+    approx_p_wavefunction,
+    approx_x_wavefunction,
     choose_truncation,
+    default_cat_grid,
     mean_occupation,
     mu_of_outcome,
     outcome_density_second,
@@ -187,6 +192,33 @@ def test_parity_conservation_property(xi2, beta, p_r):
     except ImprobableOutcomeError:
         assume(False)
     assert np.all(out.amplitudes[1::2] == 0.0)
+
+
+@given(xi2=st.floats(1.0, 60.0), beta=st.floats(0.05, 3.0), p_r=st.floats(-10.0, 10.0),
+       odd=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_parity_premise_of_the_mirrored_expansion(xi2, beta, p_r, odd):
+    """What the half-grid expansion and writer rest on: every state the
+    protocol builds is zero at odd n, bit for bit, and the analytic cat
+    wavefunctions are bitwise even on symmetric grids."""
+    n_max = min(choose_truncation(xi2, beta, 0.0, 1e-10, cap=100_000), 2000)
+    states = [squeezed_state_exact(xi2, n_max)]
+    if xi2 > 1.0:
+        states.append(squeezed_state_stirling(xi2, n_max))
+    try:
+        states.append(apply_number_qnd(states[0], beta, p_r))
+    except ImprobableOutcomeError:
+        pass
+    for state in states:
+        assert not np.any(state.amplitudes[1::2])
+    assume(xi2 > 1.0)
+    mu, _ = mu_of_outcome(p_r, beta, xi2)
+    assume(mu > 0.0)
+    grid = default_cat_grid(mu)
+    grid = QuadratureGrid(grid.min, grid.max, grid.count + odd)
+    params = CatApproxParams(mu=mu, beta=beta)
+    for wf in (approx_p_wavefunction(params, grid), approx_x_wavefunction(params, grid)):
+        assert wf.values.tobytes() == wf.values[::-1].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,56 @@ def test_expand_matches_reference_sums_bitwise():
         assert wf.values.tobytes() == reference_expansion(state, grid, basis).tobytes()
 
 
+def even_states():
+    """Even-parity states: squeezed, cat, and a complex one with mixed signs."""
+    from spincat import apply_number_qnd
+
+    squeezed = squeezed_state_exact(20.0, choose_truncation(20.0, 1.0, 0.0, 1e-10))
+    rng = np.random.default_rng(5)
+    mixed = np.zeros(31, dtype=complex)
+    mixed[::2] = rng.normal(size=16) + 1j * rng.normal(size=16)
+    return squeezed, apply_number_qnd(squeezed, 1.0 / 3.0, 7.0 / 3.0), NumberState(mixed)
+
+
+def assert_expansions_match_reference(states, grid):
+    pairs = [(state, basis) for state in states for basis in (Basis.P, Basis.X)]
+    for (state, basis), wf in zip(pairs, _expand(pairs, grid)):
+        assert wf.values.tobytes() == reference_expansion(state, grid, basis).tobytes()
+
+
+@pytest.mark.parametrize("count", [2048, 2047, 2, 3, 301])
+def test_expand_even_states_on_symmetric_grids_bitwise(count):
+    """The half-grid path: even states on a bitwise antisymmetric grid."""
+    if count > 256:
+        grid, states = QuadratureGrid(-12.0, 12.0, count), even_states()
+    else:
+        grid = QuadratureGrid(-0.4, 0.4, count)
+        states = (vacuum(4), squeezed_state_exact(1.5, 6))
+    assert_expansions_match_reference(states, grid)
+    for wf in _expand([(state, Basis.X) for state in states], grid):
+        assert wf.values.tobytes() == wf.values[::-1].tobytes()
+
+
+@pytest.mark.parametrize("count", [2048, 2047])
+def test_expand_with_one_odd_coefficient_bitwise(count):
+    """One nonzero odd coefficient in any pair sends every pair down the
+    full-grid path."""
+    squeezed, cat, _ = even_states()
+    amps = squeezed.amplitudes.copy()
+    amps[37] = 1e-3
+    grid = QuadratureGrid(-12.0, 12.0, count)
+    assert_expansions_match_reference((cat, NumberState(amps)), grid)
+    odd = _expand([(NumberState(amps), Basis.P)], grid)[0].values
+    assert odd.tobytes() != odd[::-1].tobytes()
+
+
+@pytest.mark.parametrize("grid", [QuadratureGrid(-11.0, 12.0, 2048),
+                                  QuadratureGrid(-12.0, 12.000000000001, 2047),
+                                  QuadratureGrid(0.5, 12.0, 1024)])
+def test_expand_even_states_on_asymmetric_grids_bitwise(grid):
+    assert_expansions_match_reference(even_states(), grid)
+
+
 @pytest.mark.parametrize("bad_first", [True, False])
 def test_expand_raises_for_any_failing_pair(bad_first):
     grid = QuadratureGrid(-8.0, 8.0, 64)
