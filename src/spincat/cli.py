@@ -44,7 +44,6 @@ from .protocol import (
 )
 from .state import (
     Basis,
-    NumberState,
     QuadratureGrid,
     RandomSource,
     _TRUNCATION_CAP,
@@ -264,11 +263,22 @@ class _OutDirError(Exception):
     """The output directory cannot be created: a configuration error."""
 
 
-def _make_out_dir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise _OutDirError(f"cannot create out_dir {path!r}: {exc}") from exc
+def _outputs(out_dir: str):
+    """(files, write), where write(key, name, writer, *args, **kwargs)
+    creates out_dir on its first call, records path = out_dir/name in
+    files[key] and calls the io writer(*args, path, **kwargs)."""
+    files = {}
+
+    def write(key: str, name: str, writer, *args, **kwargs) -> None:
+        if not files:
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                raise _OutDirError(f"cannot create out_dir {out_dir!r}: {exc}") from exc
+        files[key] = os.path.join(out_dir, name)
+        writer(*args, files[key], **kwargs)
+
+    return files, write
 
 
 def _output_grid(cfg, fallback: QuadratureGrid) -> QuadratureGrid:
@@ -295,12 +305,13 @@ def run_squeeze(cfg: argparse.Namespace) -> dict:
     wavefunctions = _expand(
         [(state, basis) for _, state in families for basis in (Basis.P, Basis.X)], grid)
 
-    _make_out_dir(cfg.out_dir)
-    files = {}
+    files, write = _outputs(cfg.out_dir)
     coords = io.format_coords(grid)
     for i, (prefix, state) in enumerate(families):
-        _emit_state_family(state, wavefunctions[2 * i:2 * i + 2], coords,
-                           cfg.out_dir, prefix, files)
+        write(f"{prefix}_state", f"{prefix}_state.csv", io.write_number_state_csv, state)
+        for wf in wavefunctions[2 * i:2 * i + 2]:
+            key = f"{prefix}_{wf.basis.value}"
+            write(key, f"{key}.csv", io.write_wavefunction_csv, wf, coords=coords)
 
     summary = {
         "xi2": cfg.xi2,
@@ -311,34 +322,21 @@ def run_squeeze(cfg: argparse.Namespace) -> dict:
         "dp2": dp2,
         "stirling_overlap": stirling_overlap,
     }
-    path = os.path.join(cfg.out_dir, "squeeze_summary.json")
-    io.write_json(summary, path)
-    files["summary"] = path
+    write("summary", "squeeze_summary.json", io.write_json, summary)
     return {"command": "squeeze", "files": files, "summary": summary}
 
 
-def _emit_state_family(state: NumberState, wavefunctions, coords: list[str],
-                       out_dir: str, prefix: str, files: dict) -> None:
-    path = os.path.join(out_dir, f"{prefix}_state.csv")
-    io.write_number_state_csv(state, path)
-    files[f"{prefix}_state"] = path
-    for wf in wavefunctions:
-        key = f"{prefix}_{wf.basis.value}"
-        path = os.path.join(out_dir, f"{key}.csv")
-        io.write_wavefunction_csv(wf, path, coords=coords)
-        files[key] = path
-
-
 def run_cat(cfg: argparse.Namespace) -> dict:
+    """Computes everything before the first write, so a failing run leaves
+    no file."""
     alpha = alpha_from_xi2(cfg.xi2)
-    base_n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0, cfg.tail_tol)
-    base_state = squeezed_state_exact(cfg.xi2, base_n_max)
-
-    rng = RandomSource(cfg.seed)
     p_P = None
     if cfg.sample:
+        base_n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0, cfg.tail_tol)
+        rng = RandomSource(cfg.seed)
         p_P = sample_first_outcome(alpha, rng)
-        p_R = sample_second_outcome(base_state, cfg.beta, rng)
+        p_R = sample_second_outcome(squeezed_state_exact(cfg.xi2, base_n_max),
+                                    cfg.beta, rng)
     elif cfg.pr is not None:
         p_R = cfg.pr
     else:
@@ -363,28 +361,14 @@ def run_cat(cfg: argparse.Namespace) -> dict:
 
     exact_p, exact_x = (riemann_normalize(wf) for wf in _expand(
         [(cat_state, Basis.P), (cat_state, Basis.X)], grid))
-
-    _make_out_dir(cfg.out_dir)
-    files = {}
-    coords = io.format_coords(grid)
-    path = os.path.join(cfg.out_dir, "cat_state.csv")
-    io.write_number_state_csv(cat_state, path)
-    files["cat_state"] = path
-    for wf, name in ((exact_p, "cat_p"), (exact_x, "cat_x")):
-        path = os.path.join(cfg.out_dir, f"{name}.csv")
-        io.write_wavefunction_csv(wf, path, coords=coords)
-        files[name] = path
-
+    wavefunctions = [("cat_p", exact_p), ("cat_x", exact_x)]
     overlap_p = None
     if mu_exact > 0.0:
         params = CatApproxParams(mu=mu_exact, beta=cfg.beta)
         approx_p = approx_p_wavefunction(params, grid)
-        approx_x = approx_x_wavefunction(params, grid)
+        wavefunctions += [("cat_approx_p", approx_p),
+                          ("cat_approx_x", approx_x_wavefunction(params, grid))]
         overlap_p = overlap(exact_p, approx_p)
-        for wf, name in ((approx_p, "cat_approx_p"), (approx_x, "cat_approx_x")):
-            path = os.path.join(cfg.out_dir, f"{name}.csv")
-            io.write_wavefunction_csv(wf, path, coords=coords)
-            files[name] = path
 
     metrics = compute_cat_metrics(exact_p, exact_x, mu_exact, cfg.beta, cfg.xi2)
     _, _, combined = check_cat_conditions(mu_exact, cfg.beta, cfg.xi2)
@@ -399,19 +383,19 @@ def run_cat(cfg: argparse.Namespace) -> dict:
         "xi2": cfg.xi2,
         "beta": cfg.beta,
     })
-    path = os.path.join(cfg.out_dir, "cat_metrics.json")
-    io.write_json(metrics_doc, path)
-    files["metrics"] = path
 
+    files, write = _outputs(cfg.out_dir)
+    write("cat_state", "cat_state.csv", io.write_number_state_csv, cat_state)
+    coords = io.format_coords(grid)
+    for key, wf in wavefunctions:
+        write(key, f"{key}.csv", io.write_wavefunction_csv, wf, coords=coords)
+    write("metrics", "cat_metrics.json", io.write_json, metrics_doc)
     trace = ProtocolTrace(
         seed=cfg.seed, xi2=cfg.xi2, alpha=alpha, beta=cfg.beta, p_P=p_P,
         p_R=p_R, mu_exact=mu_exact, mu_approx=mu_approx, n_max=n_max,
         state_file=os.path.basename(files["cat_state"]),
     )
-    path = os.path.join(cfg.out_dir, "cat_trace.json")
-    io.write_json(asdict(trace), path)
-    files["trace"] = path
-
+    write("trace", "cat_trace.json", io.write_json, asdict(trace))
     return {"command": "cat", "files": files, "metrics": metrics_doc}
 
 
@@ -439,19 +423,19 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
             yield io.format_trajectory_lines(start, p_p, p_r, mu_exact, mu_approx,
                                              resolvable, reachable, combined)
 
-    _make_out_dir(cfg.out_dir)
-    files = {}
-    path = os.path.join(cfg.out_dir, "trajectories.jsonl")
-    io.write_json_lines(blocks(), path)
-    files["trajectories"] = path
-
+    files, write = _outputs(cfg.out_dir)
+    write("trajectories", "trajectories.jsonl", io.write_json_lines, blocks())
     counts, edges = np.histogram(p_r_values, bins=cfg.bins)
-    path = os.path.join(cfg.out_dir, "pr_histogram.csv")
-    io.write_histogram_csv(edges, counts, path)
-    files["histogram"] = path
+    write("histogram", "pr_histogram.csv", io.write_histogram_csv, edges, counts)
 
+    # The steps of p_r_values.mean() and .std(), in place: no second
+    # count-long array.  Deviations are at most twice the peak; where their
+    # squares could overflow, the values are first scaled by a power of two.
+    peak, scale = max(p_r_values.max(), -p_r_values.min()), 1.0
+    if peak > math.sqrt(sys.float_info.max / (4.0 * cfg.count)):
+        scale = math.ldexp(1.0, math.frexp(peak)[1])
+        p_r_values /= scale
     p_r_mean = float(p_r_values.mean())
-    # The steps of p_r_values.std(), in place: no second count-long array.
     p_r_values -= p_r_mean
     p_r_values *= p_r_values
     summary = {
@@ -460,8 +444,8 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
         "xi2": cfg.xi2,
         "beta": cfg.beta,
         "n_max": n_max,
-        "p_R_mean": p_r_mean,
-        "p_R_std": math.sqrt(p_r_values.sum() / cfg.count),
+        "p_R_mean": p_r_mean * scale,
+        "p_R_std": math.sqrt(p_r_values.sum() / cfg.count) * scale,
         "fraction_resolvable": sum(resolvable_counts) / cfg.count,
     }
     return {"command": "trajectories", "files": files, "summary": summary}
@@ -469,14 +453,12 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
 
 def run_feasibility(cfg: argparse.Namespace) -> dict:
     report = evaluate_scenario(cfg.params)
-    _make_out_dir(cfg.out_dir)
     doc = report.to_dict()
     if cfg.preset is not None:
         doc["preset"] = cfg.preset
-    path = os.path.join(cfg.out_dir, "feasibility_report.json")
-    io.write_json(doc, path)
-    return {"command": "feasibility", "files": {"report": path}, "report": doc}
-
+    files, write = _outputs(cfg.out_dir)
+    write("report", "feasibility_report.json", io.write_json, doc)
+    return {"command": "feasibility", "files": files, "report": doc}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from .errors import DomainError
-from .state import NumberState, QuadratureGrid, QuadratureWavefunction, _same_bits
+from .state import NumberState, QuadratureGrid, QuadratureWavefunction, _mirror_half
 
 
 # Row templates applied to zipped columns of Python numbers; "%.17g" gives
@@ -71,9 +71,8 @@ def format_coords(grid: QuadratureGrid) -> list[str]:
     a bitwise antisymmetric grid whose mirrored upper points are positive,
     the lower half is the upper half's text behind a "-"."""
     points = grid.points()
-    half = grid.count // 2
-    if not (_same_bits(-points[:half], points[::-1][:half])
-            and points[grid.count - half:].min() > 0.0):
+    half = _mirror_half(-points, points)
+    if half and not points[-half:].min() > 0.0:
         half = 0
     upper = [_FIELD % x for x in points[half:].tolist()]
     return ["-" + text for text in upper[::-1][:half]] + upper
@@ -90,9 +89,7 @@ def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
             f"{len(coords)} coordinates for a grid of {wf.grid.count} points"
         )
     vals = wf.values
-    half = wf.grid.count // 2
-    if not _same_bits(vals[:half], vals[::-1][:half]):
-        half = 0
+    half = _mirror_half(vals, vals)
     upper = vals[half:]
     # Python's abs per element: np.abs(vals) ** 2 can differ in the last ulp.
     try:

@@ -26,9 +26,10 @@ from .errors import DomainError, ImprobableOutcomeError
 from .state import (
     Basis,
     NumberState,
-    QuadratureGrid,
     RandomSource,
     _fock_quadrature_second_moments,
+    _symmetric_grid,
+    _turning_point,
     effective_max_index,
     grid_for_state,
     quadrature_moment,
@@ -121,10 +122,14 @@ def apply_number_qnd(state: NumberState, beta: float, p_R: float) -> NumberState
     if beta < 0.0:
         raise DomainError(f"beta must be >= 0, got {beta}")
     n = np.arange(state.amplitudes.size)
-    expo = -0.5 * (beta * n - p_R) ** 2
+    with np.errstate(over="ignore"):
+        # An overflowing square gives -inf, the exact limit of the weight.
+        expo = -0.5 * (beta * n - p_R) ** 2
     shift = expo.max()
-    scaled = state.amplitudes * np.exp(expo - shift)
-    nrm = np.linalg.norm(scaled)
+    nrm = 0.0
+    if shift > -math.inf:
+        scaled = state.amplitudes * np.exp(expo - shift)
+        nrm = np.linalg.norm(scaled)
     log_norm = shift + (math.log(nrm) if nrm > 0.0 else -math.inf)
     if log_norm < _LOG_IMPROBABLE:
         raise ImprobableOutcomeError(
@@ -149,7 +154,8 @@ def outcome_density_second(state: NumberState, beta: float):
 
     def density(p):
         p = np.asarray(p, dtype=float)
-        comp = np.exp(-(p[..., None] - means) ** 2) / np.sqrt(np.pi)
+        with np.errstate(over="ignore"):
+            comp = np.exp(-(p[..., None] - means) ** 2) / np.sqrt(np.pi)
         out = comp @ weights
         return out if out.ndim else float(out)
 
@@ -218,14 +224,10 @@ def quadrature_variances(state: NumberState) -> tuple[float, float]:
     dp2 = quadrature_moment(p_wf, order=2)
 
     x2_est, _ = _fock_quadrature_second_moments(state)
-    n_eff = effective_max_index(state)
-    k_max = np.sqrt(2.0 * n_eff + 1.0)
+    k_max = _turning_point(effective_max_index(state))
     sigma_x = np.sqrt(max(x2_est, 1e-6))
-    half = min(8.0 * sigma_x + 2.0, k_max + 8.0)
-    spacing = min(np.pi / (8.0 * k_max), sigma_x / 8.0)
-    count = 2
-    while (count - 1) < 2.0 * half / spacing:
-        count *= 2
-    x_wf = to_quadrature(state, QuadratureGrid(-half, half, count), Basis.X)
+    x_grid = _symmetric_grid(min(8.0 * sigma_x + 2.0, k_max + 8.0),
+                             min(np.pi / (8.0 * k_max), sigma_x / 8.0))
+    x_wf = to_quadrature(state, x_grid, Basis.X)
     dx2 = quadrature_moment(x_wf, order=2)
     return dx2, dp2

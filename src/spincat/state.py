@@ -212,6 +212,8 @@ def riemann_normalize(wf: QuadratureWavefunction) -> QuadratureWavefunction:
     nrm = riemann_norm(wf)
     if nrm == 0.0:
         raise DegenerateStateError("cannot normalize an all-zero wavefunction")
+    if wf.grid.spacing < np.finfo(float).tiny:  # the density would sum to 1/spacing
+        raise ResolutionError(f"cannot normalize on a subnormal grid spacing {wf.grid.spacing:.4g}")
     return QuadratureWavefunction(wf.grid, wf.values / nrm, wf.basis)
 
 
@@ -263,11 +265,18 @@ def _fock_quadrature_second_moments(state: NumberState) -> tuple[float, float]:
 # grids
 
 
-def _next_pow2(value: float) -> int:
-    count = 2
-    while count < value:
+def _turning_point(n_eff: int) -> float:
+    """Turning point, and largest wavenumber, of level n_eff."""
+    return np.sqrt(2.0 * n_eff + 1.0)
+
+
+def _symmetric_grid(half: float, spacing: float, floor: int = 2) -> QuadratureGrid:
+    """Grid on [-half, half] with the smallest power-of-two point count, at
+    least `floor`, whose spacing is at most `spacing`."""
+    count = floor
+    while count - 1 < 2.0 * half / spacing:
         count *= 2
-    return count
+    return QuadratureGrid(-half, half, count)
 
 
 def default_cat_grid(mu: float, n_eff: int = 0) -> QuadratureGrid:
@@ -278,22 +287,17 @@ def default_cat_grid(mu: float, n_eff: int = 0) -> QuadratureGrid:
     for a state occupied up to n = n_eff."""
     if mu <= 0:
         raise DomainError(f"cat grid needs mu > 0, got {mu}")
-    half = np.sqrt(2.0 * mu) + 8.0
     period = 2.0 * np.pi / np.sqrt(2.0 * mu)
-    spacing = min(period / 16.0, np.pi / np.sqrt(2.0 * n_eff + 1.0))
-    count = _next_pow2(1.0 + 2.0 * half / spacing)
-    return QuadratureGrid(-half, half, count)
+    return _symmetric_grid(np.sqrt(2.0 * mu) + 8.0,
+                           min(period / 16.0, np.pi / _turning_point(n_eff)))
 
 
 def grid_for_state(state: NumberState, points_per_wave: int = 16, margin: float = 8.0) -> QuadratureGrid:
     """Symmetric grid wide enough for the classical turning point of the
     highest occupied level and fine enough for its fastest oscillation."""
-    n_eff = effective_max_index(state)
-    k_max = np.sqrt(2.0 * n_eff + 1.0)
-    half = k_max + margin
+    k_max = _turning_point(effective_max_index(state))
     period = 2.0 * np.pi / k_max
-    count = _next_pow2(1.0 + 2.0 * half / (period / points_per_wave))
-    return QuadratureGrid(-half, half, max(count, 256))
+    return _symmetric_grid(k_max + margin, period / points_per_wave, floor=256)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +358,7 @@ def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
         if not np.any(state.amplitudes):
             raise DegenerateStateError("cannot transform the all-zero state")
         n_eff = effective_max_index(state)
-        k_max = np.sqrt(2.0 * n_eff + 1.0)
+        k_max = _turning_point(n_eff)
         if grid.spacing > np.pi / k_max:
             raise ResolutionError(
                 f"grid spacing {grid.spacing:.4g} exceeds the resolution bound "
@@ -367,10 +371,8 @@ def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
             coeffs = coeffs.real
         sums.append((basis, coeffs))
     points = grid.points()
-    half = grid.count // 2
-    if any(np.any(coeffs[1::2]) for _, coeffs in sums) or not _same_bits(
-            -points[:half], points[::-1][:half]):
-        half = 0
+    even = not any(np.any(coeffs[1::2]) for _, coeffs in sums)
+    half = _mirror_half(-points, points) if even else 0
     sums = [(basis, coeffs, np.zeros(grid.count - half, dtype=coeffs.dtype))
             for basis, coeffs in sums]
     n_top = max(coeffs.size for _, coeffs, _ in sums) - 1
@@ -382,11 +384,14 @@ def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
                                    basis) for basis, _, values in sums]
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a and b hold the same bits, so that -0.0 and +0.0 differ and
-    so do NaNs with different payloads."""
-    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
-                          np.ascontiguousarray(b).view(np.uint64))
+def _mirror_half(leading: np.ndarray, trailing: np.ndarray) -> int:
+    """How many leading points mirror the trailing ones bit for bit: half
+    the size when leading[k] has the bits of trailing[-1-k] for k < half
+    (so -0.0 differs from +0.0), else 0."""
+    half = leading.size // 2
+    same = np.array_equal(np.ascontiguousarray(leading[:half]).view(np.uint64),
+                          np.ascontiguousarray(trailing[::-1][:half]).view(np.uint64))
+    return half if same else 0
 
 
 def fourier_pair(wf: QuadratureWavefunction) -> QuadratureWavefunction:
@@ -427,6 +432,8 @@ def choose_truncation(xi2: float, beta: float, mu_max: float, tail_tol: float,
         raise DomainError(f"tail_tol must lie in (0, 1e-4], got {tail_tol}")
 
     q = ((xi2 - 1.0) / (xi2 + 1.0)) ** 2
+    if q == 1.0:  # from xi2 near 1e16 on: the tail never ends
+        raise CapacityError(f"xi2={xi2} rounds the tail ratio to 1: no n_max meets tail_tol")
     n_tail = 0
     if q > 0.0:
         m = max(0, int(np.ceil(np.log(tail_tol) / np.log(q))) - 1)

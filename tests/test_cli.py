@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,20 @@ def test_cat_unresolvable_outcome_flags(tmp_path, capsys):
     assert metrics["overlap_p_approx"] is None  # mu_exact < 0: no approximation
 
 
+@pytest.mark.parametrize("argv", [
+    ["--pr-over-beta", "7", "--grid-half-width", "12", "--grid-count", "128"],
+    ["--pr", "2", "--grid-half-width", "12", "--grid-count", "127"],
+    ["--pr", "0", "--grid-half-width", "5e-324", "--grid-count", "2"],
+], ids=["too-coarse-for-the-fringes", "odd-count-too-coarse", "subnormal-spacing"])
+def test_failing_cat_writes_no_file(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, "cat", "--xi2", "20", "--beta", "0.3333", *argv,
+                             "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["kind"] == "ResolutionError"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cat_improbable_outcome_exit_code(tmp_path, capsys):
     code, out, err = run_cli(capsys, "cat", "--xi2", "2", "--beta", "0.1",
                              "--pr", "150", "--out-dir", str(tmp_path))
@@ -343,6 +358,28 @@ def test_trajectories_records_and_histogram(tmp_path, capsys):
     assert 0.0 < result["summary"]["fraction_resolvable"] < 1.0
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("beta, count", [("0.3333", "50"), ("1e300", "3"),
+                                         ("1e306", "20")])
+def test_trajectories_summary_is_finite_and_matches_records(tmp_path, capsys, beta,
+                                                            count):
+    """Outcomes near the double range must not overflow the summary's
+    sums of squares into an Infinity that strict JSON rejects."""
+    code, out, _ = run_cli(capsys, "trajectories", "--xi2", "20", "--beta", beta,
+                           "--count", count, "--out-dir", str(tmp_path))
+    assert code == 0
+    summary = _strict_json(out)["summary"]
+    p_r = [_strict_json(line)["p_R"]
+           for line in (tmp_path / "trajectories.jsonl").read_text().splitlines()]
+    assert summary["p_R_mean"] == pytest.approx(statistics.mean(p_r), rel=1e-12)
+    assert summary["p_R_std"] == pytest.approx(statistics.pstdev(p_r), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # feasibility
 
@@ -484,20 +521,29 @@ def test_integral_numbers_run(tmp_path, capsys, argv):
         assert result["report"]["inputs"]["n_atoms"] == 400_000
 
 
-@pytest.mark.parametrize("argv", [
-    ["cat", "--xi2", "1.0000000000000002", "--beta", "5e-324", "--pr", "0"],
-    ["cat", "--xi2", "1.0000000000000002", "--beta", "1e-15", "--pr", "1e300"],
-    ["cat", "--xi2", "1.0000000000000002", "--beta", "1e300", "--sample"],
-    ["trajectories", "--xi2", "2", "--beta", "5e-324", "--count", "1"],
-    ["feasibility", "--kappa0", "1e4", "--gamma", "1", "--delta", "100",
-     "--n-atoms", "1e300", "--n-photons", "32000"],
+@pytest.mark.parametrize("argv, kind", [
+    (["cat", "--xi2", "1.0000000000000002", "--beta", "5e-324", "--pr", "0"], "DomainError"),
+    (["cat", "--xi2", "1.0000000000000002", "--beta", "1e-15", "--pr", "1e300"],
+     "DomainError"),
+    (["cat", "--xi2", "1.0000000000000002", "--beta", "1e300", "--sample"], "DomainError"),
+    (["trajectories", "--xi2", "2", "--beta", "5e-324", "--count", "1"], "DomainError"),
+    (["feasibility", "--kappa0", "1e4", "--gamma", "1", "--delta", "100",
+      "--n-atoms", "1e300", "--n-photons", "32000"], "DomainError"),
+    # From xi2 near 1e16 on the squeezed-state tail ratio rounds to 1.
+    (["squeeze", "--xi2", "1e17"], "CapacityError"),
+    (["cat", "--xi2", "1e16", "--beta", "0.3333", "--pr-over-beta", "7"], "CapacityError"),
+    (["cat", "--xi2", "1e17", "--beta", "0.3333", "--sample"], "CapacityError"),
+    (["trajectories", "--xi2", "1e17", "--beta", "0.3333", "--count", "3"],
+     "CapacityError"),
 ], ids=["beta-square-underflows", "mu-overflows", "beta-square-overflows",
-        "trajectories-beta-square-underflows", "n-atoms-past-int64"])
-def test_extreme_numbers_exit_numeric(tmp_path, capsys, argv):
+        "trajectories-beta-square-underflows", "n-atoms-past-int64",
+        "squeeze-tail-ratio-one", "cat-tail-ratio-one", "cat-sample-tail-ratio-one",
+        "trajectories-tail-ratio-one"])
+def test_extreme_numbers_exit_numeric(tmp_path, capsys, argv, kind):
     code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
     assert code == 3
     assert out == ""
-    assert json.loads(err)["kind"] == "DomainError"
+    assert json.loads(err)["kind"] == kind
 
 
 @pytest.mark.parametrize("argv, name, bound", [
@@ -581,8 +627,9 @@ def _flag_words(field, name, value):
 @given(data=st.data())
 def test_fuzz_fields_exit_codes(tmp_path_factory, data):
     """Flags and config fields drawn from FIELDS, plus an unknown name,
-    with values of every JSON type: a run either succeeds with one JSON
-    object on stdout or exits with a documented code and nothing on it."""
+    with values of every JSON type: a run either succeeds with one strict
+    JSON object on stdout or exits with a documented code and nothing on
+    it."""
     command = data.draw(st.sampled_from(sorted(FIELDS)), label="command")
     table = dict(FIELDS[command], bogus=None)
     drawn = {name: data.draw(FUZZ_VALUES if field is None else _fuzz_values(field),
@@ -609,7 +656,7 @@ def test_fuzz_fields_exit_codes(tmp_path_factory, data):
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in stderr.getvalue()
     if code == 0:
-        assert isinstance(json.loads(stdout.getvalue()), dict)
+        assert isinstance(_strict_json(stdout.getvalue()), dict)
     else:
         assert stdout.getvalue() == ""
 

@@ -175,6 +175,16 @@ def test_apply_number_qnd_improbable_outcome():
         apply_number_qnd(state, 1.0, 50.0)
 
 
+def test_apply_number_qnd_overflowing_exponents_are_improbable():
+    """Every exponent overflows to -inf, the exact limit of its weight: an
+    improbable outcome, with no overflow or invalid-value warning."""
+    state = squeezed_state_exact(20.0, 40)
+    with pytest.raises(ImprobableOutcomeError) as info:
+        apply_number_qnd(state, 1e300, 1e155)
+    assert info.value.log_norm == -np.inf
+    assert outcome_density_second(state, 1e300)(1e155) == 0.0
+
+
 def test_parity_survives_both_steps_bitwise():
     squeezed = squeezed_state_exact(20.0, 230)
     assert np.all(squeezed.amplitudes[1::2] == 0.0)

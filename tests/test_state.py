@@ -33,7 +33,13 @@ from spincat.io import (
     write_number_state_csv,
     write_wavefunction_csv,
 )
-from spincat.state import QuadratureWavefunction, _expand
+from spincat import default_cat_grid, protocol
+from spincat.state import (
+    QuadratureWavefunction,
+    _expand,
+    _fock_quadrature_second_moments,
+    effective_max_index,
+)
 
 
 def vacuum(n_max=0):
@@ -371,6 +377,73 @@ def test_oscillator_identity(data):
 
 # ---------------------------------------------------------------------------
 # grids, randomness, serialization
+
+
+# Grid sizes as each sizing rule computed them before the rules shared one
+# builder, kept as the oracle: two compared count < 1 + X, the third
+# count - 1 < X.
+SWEEP_RNG = np.random.default_rng(2024)
+SWEEP_XI2 = np.concatenate([np.linspace(1.0, 215.0, 321), SWEEP_RNG.uniform(1.0, 215.0, 100)])
+SWEEP_MU = np.concatenate([[1e-12, 1e-3], np.linspace(0.05, 500.0, 1000),
+                           SWEEP_RNG.uniform(0.0, 500.0, 500)])
+
+
+def _doubled(count, keep_doubling):
+    while keep_doubling(count):
+        count *= 2
+    return count
+
+
+def oracle_grid_for_state(state):
+    k_max = np.sqrt(2.0 * effective_max_index(state) + 1.0)
+    half = k_max + 8.0
+    period = 2.0 * np.pi / k_max
+    return half, max(_doubled(2, lambda c: c < 1.0 + 2.0 * half / (period / 16)), 256)
+
+
+def oracle_default_cat_grid(mu, n_eff):
+    half = np.sqrt(2.0 * mu) + 8.0
+    period = 2.0 * np.pi / np.sqrt(2.0 * mu)
+    spacing = min(period / 16.0, np.pi / np.sqrt(2.0 * n_eff + 1.0))
+    return half, _doubled(2, lambda c: c < 1.0 + 2.0 * half / spacing)
+
+
+def oracle_variance_x_grid(state):
+    x2_est, _ = _fock_quadrature_second_moments(state)
+    k_max = np.sqrt(2.0 * effective_max_index(state) + 1.0)
+    sigma_x = np.sqrt(max(x2_est, 1e-6))
+    half = min(8.0 * sigma_x + 2.0, k_max + 8.0)
+    spacing = min(np.pi / (8.0 * k_max), sigma_x / 8.0)
+    return half, _doubled(2, lambda c: c - 1 < 2.0 * half / spacing)
+
+
+def swept_squeezed_states():
+    for xi2 in SWEEP_XI2:
+        yield squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, 1e-10))
+
+
+def test_grid_sizes_match_the_former_formulas(monkeypatch):
+    grids = {}
+
+    def record(state, grid, basis):
+        grids[basis] = grid
+        return QuadratureWavefunction(grid, np.ones(grid.count), basis)
+
+    monkeypatch.setattr(protocol, "to_quadrature", record)
+    for state in swept_squeezed_states():
+        grid = grid_for_state(state)
+        assert (grid.max, grid.count) == oracle_grid_for_state(state)
+        assert grid.min == -grid.max
+        protocol.quadrature_variances(state)
+        assert grids[Basis.P] == grid
+        x_grid = grids[Basis.X]
+        assert (x_grid.max, x_grid.count) == oracle_variance_x_grid(state)
+        assert x_grid.min == -x_grid.max
+    for mu in SWEEP_MU:
+        for n_eff in (0, 7, 40, 230, 1000, 4096):
+            grid = default_cat_grid(mu, n_eff)
+            assert (grid.max, grid.count) == oracle_default_cat_grid(mu, n_eff)
+            assert grid.min == -grid.max
 
 
 def test_grid_points_are_antisymmetric():
