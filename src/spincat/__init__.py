@@ -49,9 +49,7 @@ from .state import (
     RandomSource,
     choose_truncation,
     default_cat_grid,
-    fourier_pair,
     grid_for_state,
-    hermite_basis,
     mean_occupation,
     norm,
     normalize,

@@ -27,7 +27,7 @@ from .cat import (
     compute_cat_metrics,
     overlap,
 )
-from .errors import ImprobableOutcomeError, SpinCatError
+from .errors import DomainError, ImprobableOutcomeError, SpinCatError
 from .feasibility import PRESETS, ExperimentalParams, evaluate_scenario
 from .protocol import (
     ProtocolTrace,
@@ -409,6 +409,7 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
 
     p_r_values = np.empty(cfg.count)
     resolvable_counts = []
+    histogram = []
 
     def blocks():
         for start in range(0, cfg.count, TRAJECTORY_BLOCK):
@@ -422,10 +423,17 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
             resolvable_counts.append(int(np.count_nonzero(resolvable)))
             yield io.format_trajectory_lines(start, p_p, p_r, mu_exact, mu_approx,
                                              resolvable, reachable, combined)
+        # Binned before the stream ends, so a failure here leaves no file.
+        try:
+            histogram.extend(np.histogram(p_r_values, bins=cfg.bins))
+        except ValueError as exc:  # finite outcomes: the edges cannot be split
+            raise DomainError(
+                f"p_R outcomes span [{p_r_values.min():.17g}, {p_r_values.max():.17g}], "
+                f"too narrow in doubles for {cfg.bins} bins") from exc
 
     files, write = _outputs(cfg.out_dir)
     write("trajectories", "trajectories.jsonl", io.write_json_lines, blocks())
-    counts, edges = np.histogram(p_r_values, bins=cfg.bins)
+    counts, edges = histogram
     write("histogram", "pr_histogram.csv", io.write_histogram_csv, edges, counts)
 
     # The steps of p_r_values.mean() and .std(), in place: no second

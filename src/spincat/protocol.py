@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, ImprobableOutcomeError
 from .state import (
@@ -37,6 +36,17 @@ from .state import (
 )
 
 _LOG_IMPROBABLE = math.log(1e-300)
+
+# Cephes `lgam` (Moshier, Methods and Programs for Mathematical Functions,
+# 1989) at x = k + 1: the exact product (x-1)! below 13, else Stirling's
+# series with the A[] polynomial below 1000 and three terms from 1000 up.
+# Logs come from math.log and every other step is one numpy operation, so
+# the values are bitwise those of scipy.special.gammaln.
+_LS2PI = 0.91893853320467274178
+_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+      7.93650340457716943945e-4, -2.77777777730099687205e-3,
+      8.33333333333331927722e-2)
+_log_factorial_table = np.array([math.log(math.factorial(k)) for k in range(12)])
 
 
 @dataclass(frozen=True)
@@ -63,11 +73,33 @@ def alpha_from_xi2(xi2: float) -> float:
     return float(np.sqrt(xi2 - 1.0))
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0 .. n (see the Cephes note above): a read-only
+    prefix of a process-wide table that grows on demand.  The table only
+    memoizes values fixed by k, so every caller sees the same bits; a call
+    past its size pays for the new entries only."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if table.size <= n:
+        x = np.arange(table.size + 1.0, n + 2.0)
+        q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), float, x.size) - x + _LS2PI
+        p = 1.0 / (x * x)
+        near, far = np.split(p, [np.searchsorted(x, 1000.0)])
+        near = (((_A[0] * near + _A[1]) * near + _A[2]) * near + _A[3]) * near + _A[4]
+        far = (7.9365079365079365079365e-4 * far - 2.7777777777777777777778e-3) * far \
+            + 0.0833333333333333333333
+        table = np.concatenate((table, q + np.concatenate((near, far)) / x))
+        table.setflags(write=False)
+        _log_factorial_table = table
+    return table[:n + 1]
+
+
 def squeezed_state_exact(xi2: float, n_max: int) -> NumberState:
     """Normalized squeezed state over n = 0 .. n_max (n_max even).
 
-    Even coefficients are evaluated in log space (log-gamma for the
-    factorial ratio) before exponentiation, odd ones are exactly zero.
+    Even coefficients are evaluated in log space before exponentiation,
+    with log-factorials from a port of the Cephes log-gamma routine that
+    reproduces scipy.special.gammaln bit for bit; odd ones are exactly zero.
     """
     if xi2 < 1.0:
         raise DomainError(f"squeezing degree must satisfy xi2 >= 1, got {xi2}")
@@ -78,7 +110,8 @@ def squeezed_state_exact(xi2: float, n_max: int) -> NumberState:
         amps[0] = 1.0
     else:
         m = np.arange(0, n_max // 2 + 1)
-        log_c = m * np.log(ratio) + 0.5 * gammaln(2 * m + 1) - gammaln(m + 1)
+        log_k = _log_factorials(n_max)
+        log_c = m * np.log(ratio) + 0.5 * log_k[::2] - log_k[:m.size]
         log_c -= log_c.max()
         amps[::2] = np.exp(log_c)
     amps /= np.linalg.norm(amps)

@@ -11,9 +11,8 @@ Conventions used throughout:
   of the p representation with kernel exp(i*x*p)/sqrt(2*pi), so applying
   the transform twice reflects a wavefunction through the origin;
 * that kernel maps phi_n(p) to i**n phi_n(x), so the x representation is
-  *computed* by the same recurrence sum as p with coefficients a_n i**n;
-  the discretized transform survives only in `fourier_pair`, the
-  independent check of that identity;
+  *computed* by the same recurrence sum as p with coefficients a_n i**n,
+  and no transform is evaluated;
 * expansions that share a grid share one pass of the recurrence
   (`_expand`), one sum per (state, basis) pair;
 * parity: rounding is symmetric under negation, so the recurrence gives
@@ -182,11 +181,6 @@ def _hermite_rows(n_max: int, u: np.ndarray):
         yield cur
 
 
-def hermite_basis(n_max: int, u: np.ndarray) -> np.ndarray:
-    """Matrix phi[n, k] = phi_n(u_k) for n = 0 .. n_max."""
-    return np.stack(list(_hermite_rows(n_max, np.asarray(u, dtype=float))))
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -307,21 +301,6 @@ def grid_for_state(state: NumberState, points_per_wave: int = 16, margin: float 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _continuous_ft(values: np.ndarray, pts_in: np.ndarray, spacing: float,
-                   pts_out: np.ndarray) -> np.ndarray:
-    """Discretized continuous Fourier transform
-    out[k] = spacing/sqrt(2 pi) * sum_j values[j] * exp(i * out_k * in_j),
-    evaluated in row chunks to bound the kernel memory."""
-    out = np.empty(pts_out.size, dtype=complex)
-    scale = spacing / np.sqrt(2.0 * np.pi)
-    chunk = max(1, int(4e6 // max(pts_in.size, 1)))
-    for start in range(0, pts_out.size, chunk):
-        block = pts_out[start:start + chunk]
-        kernel = np.exp(1j * np.outer(block, pts_in))
-        out[start:start + chunk] = kernel @ values * scale
-    return out
-
-
 def to_quadrature(state: NumberState, grid: QuadratureGrid, basis: Basis) -> QuadratureWavefunction:
     """Expand a number state on a quadrature grid.
 
@@ -329,10 +308,9 @@ def to_quadrature(state: NumberState, grid: QuadratureGrid, basis: Basis) -> Qua
     Fourier transform of the P representation, which the kernel
     exp(i*x*p)/sqrt(2*pi) maps term by term to
     values[k] = sum_n a_n i**n phi_n(x_k), so both bases are the same
-    recurrence sum and no transform is evaluated (`fourier_pair` computes
-    the transform itself and serves as the independent check).  The
-    output is *not* renormalized; for states fully covered by the grid
-    the Riemann norm reproduces the number-basis norm.
+    recurrence sum and no transform is evaluated.  The output is *not*
+    renormalized; for states fully covered by the grid the Riemann norm
+    reproduces the number-basis norm.
     """
     return _expand([(state, basis)], grid)[0]
 
@@ -392,23 +370,6 @@ def _mirror_half(leading: np.ndarray, trailing: np.ndarray) -> int:
     same = np.array_equal(np.ascontiguousarray(leading[:half]).view(np.uint64),
                           np.ascontiguousarray(trailing[::-1][:half]).view(np.uint64))
     return half if same else 0
-
-
-def fourier_pair(wf: QuadratureWavefunction) -> QuadratureWavefunction:
-    """Conjugate-basis wavefunction on the same (symmetric) grid.
-
-    Both directions use the kernel exp(i*u*v)/sqrt(2 pi), so applying the
-    transform twice returns the parity-reflected input.
-    """
-    if not wf.grid.is_symmetric():
-        raise DomainError(
-            f"fourier_pair requires a grid symmetric about 0, got "
-            f"[{wf.grid.min}, {wf.grid.max}]"
-        )
-    pts = wf.grid.points()
-    values = _continuous_ft(wf.values, pts, wf.grid.spacing, pts)
-    flipped = Basis.X if wf.basis is Basis.P else Basis.P
-    return QuadratureWavefunction(wf.grid, values, flipped)
 
 
 # ---------------------------------------------------------------------------

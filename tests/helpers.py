@@ -3,7 +3,8 @@
 import numpy as np
 from scipy.stats import norm as normal_dist
 
-from spincat.state import Basis, effective_max_index, hermite_basis
+from spincat.errors import DomainError
+from spincat.state import Basis, QuadratureWavefunction, _hermite_rows, effective_max_index
 
 
 def midpoint_grid(half: float, count: int) -> tuple[np.ndarray, float]:
@@ -67,6 +68,48 @@ def chi_square_vs_mixture(draws: np.ndarray, state_amplitudes: np.ndarray,
     merged_obs = np.array(merged_obs)
     stat = float(np.sum((merged_obs - merged_exp) ** 2 / merged_exp))
     return stat, merged_exp.size - 1
+
+
+# ---------------------------------------------------------------------------
+# eigenfunction table and the discretized Fourier transform: the direct
+# constructions that the library's one recurrence sum replaces
+
+
+def hermite_basis(n_max: int, u: np.ndarray) -> np.ndarray:
+    """Matrix phi[n, k] = phi_n(u_k) for n = 0 .. n_max."""
+    return np.stack(list(_hermite_rows(n_max, np.asarray(u, dtype=float))))
+
+
+def _continuous_ft(values: np.ndarray, pts_in: np.ndarray, spacing: float,
+                   pts_out: np.ndarray) -> np.ndarray:
+    """Discretized continuous Fourier transform
+    out[k] = spacing/sqrt(2 pi) * sum_j values[j] * exp(i * out_k * in_j),
+    evaluated in row chunks to bound the kernel memory."""
+    out = np.empty(pts_out.size, dtype=complex)
+    scale = spacing / np.sqrt(2.0 * np.pi)
+    chunk = max(1, int(4e6 // max(pts_in.size, 1)))
+    for start in range(0, pts_out.size, chunk):
+        block = pts_out[start:start + chunk]
+        kernel = np.exp(1j * np.outer(block, pts_in))
+        out[start:start + chunk] = kernel @ values * scale
+    return out
+
+
+def fourier_pair(wf: QuadratureWavefunction) -> QuadratureWavefunction:
+    """Conjugate-basis wavefunction on the same (symmetric) grid.
+
+    Both directions use the kernel exp(i*u*v)/sqrt(2 pi), so applying the
+    transform twice returns the parity-reflected input.
+    """
+    if not wf.grid.is_symmetric():
+        raise DomainError(
+            f"fourier_pair requires a grid symmetric about 0, got "
+            f"[{wf.grid.min}, {wf.grid.max}]"
+        )
+    pts = wf.grid.points()
+    values = _continuous_ft(wf.values, pts, wf.grid.spacing, pts)
+    flipped = Basis.X if wf.basis is Basis.P else Basis.P
+    return QuadratureWavefunction(wf.grid, values, flipped)
 
 
 # ---------------------------------------------------------------------------

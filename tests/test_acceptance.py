@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from helpers import brute_force_number_qnd, chi_square_vs_mixture
+from helpers import brute_force_number_qnd, chi_square_vs_mixture, fourier_pair
 from spincat import (
     Basis,
     CatApproxParams,
@@ -29,7 +29,6 @@ from spincat import (
     default_cat_grid,
     detect_peaks,
     evaluate_scenario,
-    fourier_pair,
     mu_of_outcome,
     overlap,
     quadrature_variances,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
+from helpers import fourier_pair
 from spincat import (
     Basis,
     CatApproxParams,
@@ -22,7 +23,6 @@ from spincat import (
     compute_cat_metrics,
     default_cat_grid,
     detect_peaks,
-    fourier_pair,
     fringe_metrics,
     mu_of_outcome,
     overlap,

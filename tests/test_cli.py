@@ -535,15 +535,34 @@ def test_integral_numbers_run(tmp_path, capsys, argv):
     (["cat", "--xi2", "1e17", "--beta", "0.3333", "--sample"], "CapacityError"),
     (["trajectories", "--xi2", "1e17", "--beta", "0.3333", "--count", "3"],
      "CapacityError"),
+    # One outcome near 3.7e19: the histogram's edges p_R -+ 0.5 round to p_R.
+    (["trajectories", "--xi2", "16", "--beta", "18446744073709551616", "--count", "1"],
+     "DomainError"),
 ], ids=["beta-square-underflows", "mu-overflows", "beta-square-overflows",
         "trajectories-beta-square-underflows", "n-atoms-past-int64",
         "squeeze-tail-ratio-one", "cat-tail-ratio-one", "cat-sample-tail-ratio-one",
-        "trajectories-tail-ratio-one"])
+        "trajectories-tail-ratio-one", "trajectories-bins-past-range"])
 def test_extreme_numbers_exit_numeric(tmp_path, capsys, argv, kind):
     code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
     assert code == 3
     assert out == ""
     assert json.loads(err)["kind"] == kind
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["squeeze", "--xi2", "20", "--n-max", "3"], "config error: "),
+    (["squeeze", "--xi2", "20", "--frobnicate", "1"], "usage: "),
+], ids=["config-rule", "argparse"])
+def test_config_errors_print_plain_text(tmp_path, capsys, argv, prefix):
+    """As the README says, exit 2 is the one error whose stderr is plain
+    text (a `config error:` line or argparse usage), not the JSON object
+    of exits 3 and 4; stdout stays empty."""
+    code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix)
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(err)
 
 
 @pytest.mark.parametrize("argv, name, bound", [
@@ -661,14 +680,15 @@ def test_fuzz_fields_exit_codes(tmp_path_factory, data):
         assert stdout.getvalue() == ""
 
 
-def test_cli_import_leaves_scipy_signal_out():
+def test_cli_import_leaves_scipy_out():
     src = str(Path(spincat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, spincat.cli; print('scipy.signal' in sys.modules)"
+    probe = ("import sys, spincat.cli; print(sorted(name for name in sys.modules "
+             "if name == 'scipy' or name.startswith('scipy.')))")
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "[]"
 
 
 def test_unknown_command_exits_config(capsys):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import chi2, kstest
 
-from helpers import brute_force_number_qnd, chi_square_vs_mixture
+from helpers import brute_force_number_qnd, chi_square_vs_mixture, hermite_basis
 from spincat import (
     Basis,
     CatApproxParams,
@@ -29,6 +30,8 @@ from spincat import (
     squeezed_state_exact,
     squeezed_state_stirling,
 )
+from spincat import protocol
+from spincat.state import _TRUNCATION_CAP
 
 BETA_FIG = 1.0 / 3.0
 
@@ -61,6 +64,42 @@ def test_squeezed_exact_degenerate_is_vacuum():
     assert np.array_equal(state.amplitudes, expected)
 
 
+# Past every argument squeezed_state_exact can pass to log-gamma under the
+# truncation cap (1 .. 2 * _TRUNCATION_CAP + 1), up to 2**16: numpy's own log
+# differs from math.log at 9170 and 19143 on some builds, and a port built on
+# it must fail here.
+LOG_GAMMA_TOP = 2 ** 16
+
+
+@pytest.mark.parametrize("steps", [[], [12, 500, 998, 999, 1000, 1001, 4096]],
+                         ids=["one-build", "grown-in-steps"])
+def test_log_factorials_are_gammaln_bits(monkeypatch, steps):
+    # A table grown across the x = 1000 branch point of the Cephes series
+    # must hold the same bits as one built in a single pass.
+    monkeypatch.setattr(protocol, "_log_factorial_table",
+                        protocol._log_factorial_table[:12])
+    for n in steps:
+        protocol._log_factorials(n)
+    got = protocol._log_factorials(LOG_GAMMA_TOP - 1)
+    expected = gammaln(np.arange(1.0, LOG_GAMMA_TOP + 1.0))
+    assert got.size == expected.size == LOG_GAMMA_TOP
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("xi2", [2.0, 20.0, 150.0])
+def test_squeezed_exact_bits_match_gammaln_build(xi2):
+    for n_max in (0, 24, choose_truncation(xi2, 1.0, 0.0, 1e-12), _TRUNCATION_CAP):
+        amps = np.zeros(n_max + 1)
+        m = np.arange(0, n_max // 2 + 1)
+        log_c = (m * np.log((xi2 - 1.0) / (2.0 * (xi2 + 1.0)))
+                 + 0.5 * gammaln(2 * m + 1) - gammaln(m + 1))
+        amps[::2] = np.exp(log_c - log_c.max())
+        expected = NumberState(amps / np.linalg.norm(amps)).amplitudes
+        got = squeezed_state_exact(xi2, n_max).amplitudes
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n_max
+
+
 def test_squeezed_exact_coefficient_ratio():
     # c(2)/c(0) = ((xi2-1)/(2(xi2+1))) * sqrt(2!)/1! at xi2=3
     state = squeezed_state_exact(3.0, 32)
@@ -78,8 +117,6 @@ def test_squeezed_exact_against_projection_oracle():
     # independent oracle: Fourier-transform the defining x-space Gaussian
     # exp(-xi2 x^2/2) to the p representation, then project onto the real
     # basis functions phi_n(p) by numerical quadrature
-    from spincat import hermite_basis
-
     xi2 = 3.0
     x = np.linspace(-10.0, 10.0, 2001)
     psi_x = (xi2 / np.pi) ** 0.25 * np.exp(-xi2 * x * x / 2.0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite as np_hermite
 
-from helpers import reference_expansion
+from helpers import fourier_pair, hermite_basis, reference_expansion
 from spincat import (
     Basis,
     DegenerateStateError,
@@ -15,9 +15,7 @@ from spincat import (
     RandomSource,
     ResolutionError,
     choose_truncation,
-    fourier_pair,
     grid_for_state,
-    hermite_basis,
     mean_occupation,
     norm,
     normalize,
