@@ -10,6 +10,7 @@ codes: 0 success, 2 configuration error, 3 numeric/domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from .cat import (
     compute_cat_metrics,
     overlap,
 )
-from .errors import DomainError, ImprobableOutcomeError, SpinCatError
+from .errors import DomainError, ImprobableOutcomeError, ResolutionError, SpinCatError
 from .feasibility import PRESETS, ExperimentalParams, evaluate_scenario
 from .protocol import (
     ProtocolTrace,
@@ -53,6 +54,8 @@ from .state import (
     effective_max_index,
     grid_for_state,
     mean_occupation,
+    quadrature_moment,
+    riemann_norm,
     riemann_normalize,
 )
 
@@ -266,17 +269,30 @@ class _OutDirError(Exception):
 def _outputs(out_dir: str):
     """(files, write), where write(key, name, writer, *args, **kwargs)
     creates out_dir on its first call, records path = out_dir/name in
-    files[key] and calls the io writer(*args, path, **kwargs)."""
+    files[key] and calls the io writer(*args, path, **kwargs).  When that
+    first writer fails, the levels of out_dir the call created are removed
+    again."""
     files = {}
 
     def write(key: str, name: str, writer, *args, **kwargs) -> None:
+        created = []
         if not files:
+            level = out_dir
+            while level and not os.path.exists(level):
+                created.append(level)
+                level = os.path.dirname(level)
             try:
                 os.makedirs(out_dir, exist_ok=True)
             except OSError as exc:
                 raise _OutDirError(f"cannot create out_dir {out_dir!r}: {exc}") from exc
         files[key] = os.path.join(out_dir, name)
-        writer(*args, files[key], **kwargs)
+        try:
+            writer(*args, files[key], **kwargs)
+        except BaseException:
+            for level in created:  # deepest first; rmdir keeps what is not empty
+                with contextlib.suppress(OSError):
+                    os.rmdir(level)
+            raise
 
     return files, write
 
@@ -286,6 +302,26 @@ def _output_grid(cfg, fallback: QuadratureGrid) -> QuadratureGrid:
         return QuadratureGrid(-cfg.grid_half_width, cfg.grid_half_width,
                               cfg.grid_count)
     return fallback
+
+
+# Relative tolerance of squeeze's coverage check.  On default grids the
+# worst residual, 6.3e-4, is at xi2 = 173.5, the last xi2 within
+# HERMITE_N_BUDGET, where the eigenfunction rows lose mass past n = 700;
+# for xi2 <= 60 it is below 5e-13.  A grid that cuts off the state misses
+# by far more: on +-3 at xi2 = 20, 34 % of the p norm.
+COVERAGE_TOL = 1e-3
+
+
+def _check_coverage(wavefunctions, dx2: float, dp2: float) -> None:
+    """Raise ResolutionError unless each wavefunction of a normalized state
+    has a Riemann norm**2 within COVERAGE_TOL of 1 and a Riemann second
+    moment within COVERAGE_TOL, relative, of dx2 (x) or dp2 (p)."""
+    for wf in wavefunctions:
+        moment = dx2 if wf.basis is Basis.X else dp2
+        miss = max(abs(riemann_norm(wf) ** 2 - 1.0), abs(quadrature_moment(wf) / moment - 1.0))
+        if not miss <= COVERAGE_TOL:
+            raise ResolutionError(f"the {wf.basis.value} grid misses the state: norm or second "
+                                  f"moment off by {miss:.3g} (tolerance {COVERAGE_TOL:g})")
 
 
 def run_squeeze(cfg: argparse.Namespace) -> dict:
@@ -304,6 +340,7 @@ def run_squeeze(cfg: argparse.Namespace) -> dict:
         stirling_overlap = float(abs(np.vdot(exact.amplitudes, stirling.amplitudes)))
     wavefunctions = _expand(
         [(state, basis) for _, state in families for basis in (Basis.P, Basis.X)], grid)
+    _check_coverage(wavefunctions[:2], dx2, dp2)
 
     files, write = _outputs(cfg.out_dir)
     coords = io.format_coords(grid)

@@ -61,11 +61,6 @@ def write_number_state_csv(state: NumberState, path: str) -> None:
     atomic_write_text(path, ("n,re,im\n", "".join(rows)))
 
 
-def read_number_state_csv(path: str) -> NumberState:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return NumberState(data[:, 1] + 1j * data[:, 2])
-
-
 def format_coords(grid: QuadratureGrid) -> list[str]:
     """The formatted coordinate column of a wavefunction CSV on `grid`.  On
     a bitwise antisymmetric grid whose mirrored upper points are positive,
@@ -102,12 +97,6 @@ def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
     tails = tails[::-1][:half] + tails
     rows = map(str.__add__, coords, tails)
     atomic_write_text(path, ("coord,re,im,abs2\n", "".join(rows)))
-
-
-def read_wavefunction_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """(coords, complex values); grid and basis metadata are not stored."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0], data[:, 1] + 1j * data[:, 2]
 
 
 def write_json(obj, path: str) -> None:

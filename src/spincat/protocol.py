@@ -22,18 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ImprobableOutcomeError
-from .state import (
-    Basis,
-    NumberState,
-    RandomSource,
-    _fock_quadrature_second_moments,
-    _symmetric_grid,
-    _turning_point,
-    effective_max_index,
-    grid_for_state,
-    quadrature_moment,
-    to_quadrature,
-)
+from .state import NumberState, RandomSource
 
 _LOG_IMPROBABLE = math.log(1e-300)
 
@@ -250,17 +239,13 @@ def mu_of_outcome(p_R: float, beta: float, xi2: float) -> tuple[float, float]:
 
 
 def quadrature_variances(state: NumberState) -> tuple[float, float]:
-    """(Delta x^2, Delta p^2) about the origin, each computed as a Riemann
-    second moment of the corresponding quadrature density.  Grids are sized
-    from the state's occupancy (p) and a Fock-basis spread estimate (x)."""
-    p_wf = to_quadrature(state, grid_for_state(state), Basis.P)
-    dp2 = quadrature_moment(p_wf, order=2)
-
-    x2_est, _ = _fock_quadrature_second_moments(state)
-    k_max = _turning_point(effective_max_index(state))
-    sigma_x = np.sqrt(max(x2_est, 1e-6))
-    x_grid = _symmetric_grid(min(8.0 * sigma_x + 2.0, k_max + 8.0),
-                             min(np.pi / (8.0 * k_max), sigma_x / 8.0))
-    x_wf = to_quadrature(state, x_grid, Basis.X)
-    dx2 = quadrature_moment(x_wf, order=2)
-    return dx2, dp2
+    """(Delta x^2, Delta p^2) about the origin from the Fock identities
+        <x^2> = <n> + 1/2 - Re<a^2>,   <p^2> = <n> + 1/2 + Re<a^2>
+    in the real <p|n> convention (positive squeezed coefficients are narrow
+    in x): exact for the truncated state, O(n) and without a grid."""
+    a = state.amplitudes / np.linalg.norm(state.amplitudes)
+    n = np.arange(a.size)
+    mean_n = float(np.sum(n * np.abs(a) ** 2))
+    k = n[:-2]
+    re_a2 = float(np.real(np.sum(np.conj(a[:-2]) * a[2:] * np.sqrt((k + 1.0) * (k + 2.0)))))
+    return mean_n + 0.5 - re_a2, mean_n + 0.5 + re_a2

@@ -37,7 +37,9 @@ from .errors import (
     ResolutionError,
 )
 
-# Stability budget of the normalized recurrence in double precision.
+# Largest index the eigenfunction recurrence accepts.  Integral phi_n**2 = 1
+# to 1e-9 holds only for n <= 700; above, mass is lost (2 % at n = 750, 16 %
+# at n = 800) because the phi_0 seed underflows to 0 past |u| ~ 38.6.
 HERMITE_N_BUDGET = 2000
 
 # Relative amplitude below which a number-basis tail is treated as empty
@@ -85,9 +87,6 @@ class QuadratureGrid:
         center = 0.5 * (self.min + self.max)
         offsets = np.arange(self.count, dtype=float) - 0.5 * (self.count - 1)
         return center + offsets * self.spacing
-
-    def is_symmetric(self, rel_tol: float = 1e-12) -> bool:
-        return abs(self.min + self.max) <= rel_tol * (self.max - self.min)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +158,9 @@ def _hermite_rows(n_max: int, u: np.ndarray):
     oscillator eigenfunctions at the points `u`, from the recurrence
         phi_{n+1} = u*sqrt(2/(n+1))*phi_n - sqrt(n/(n+1))*phi_{n-1}
     with the Gaussian weight folded into phi_0.  Only two rows live at a
-    time.  The recurrence is stable to n = HERMITE_N_BUDGET in double
-    precision; larger indices are refused."""
+    time.  The rows are normalized (integral phi_n**2 = 1 to 1e-9) for
+    n <= 700; above that they lose mass where phi_0 underflows (see
+    HERMITE_N_BUDGET).  Indices past HERMITE_N_BUDGET are refused."""
     if n_max < 0 or n_max != int(n_max):
         raise DomainError(f"eigenfunction index must be a non-negative integer, got {n_max}")
     if n_max > HERMITE_N_BUDGET:
@@ -236,23 +236,6 @@ def mean_occupation(state: NumberState) -> float:
     """<n> computed directly in the number basis."""
     w = np.abs(state.amplitudes) ** 2
     return float(np.sum(np.arange(w.size) * w) / np.sum(w))
-
-
-def _fock_quadrature_second_moments(state: NumberState) -> tuple[float, float]:
-    # In the real <p|n> convention used here, <p^2> = <n> + 1/2 + Re<a^2>
-    # and <x^2> = <n> + 1/2 - Re<a^2> (positive squeezed coefficients are
-    # narrow in x).  Used only to size grids; reported values always come
-    # from quadrature sums.
-    a = state.amplitudes / np.linalg.norm(state.amplitudes)
-    n = np.arange(a.size)
-    mean_n = float(np.sum(n * np.abs(a) ** 2))
-    if a.size > 2:
-        k = n[:-2]
-        a2 = np.sum(np.conj(a[:-2]) * a[2:] * np.sqrt((k + 1.0) * (k + 2.0)))
-    else:
-        a2 = 0.0
-    re_a2 = float(np.real(a2))
-    return mean_n + 0.5 - re_a2, mean_n + 0.5 + re_a2
 
 
 # ---------------------------------------------------------------------------

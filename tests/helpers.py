@@ -4,7 +4,19 @@ import numpy as np
 from scipy.stats import norm as normal_dist
 
 from spincat.errors import DomainError
-from spincat.state import Basis, QuadratureWavefunction, _hermite_rows, effective_max_index
+from spincat.protocol import quadrature_variances
+from spincat.state import (
+    Basis,
+    NumberState,
+    QuadratureWavefunction,
+    _hermite_rows,
+    _symmetric_grid,
+    _turning_point,
+    effective_max_index,
+    grid_for_state,
+    quadrature_moment,
+    to_quadrature,
+)
 
 
 def midpoint_grid(half: float, count: int) -> tuple[np.ndarray, float]:
@@ -95,13 +107,17 @@ def _continuous_ft(values: np.ndarray, pts_in: np.ndarray, spacing: float,
     return out
 
 
+def is_symmetric(grid, rel_tol: float = 1e-12) -> bool:
+    return abs(grid.min + grid.max) <= rel_tol * (grid.max - grid.min)
+
+
 def fourier_pair(wf: QuadratureWavefunction) -> QuadratureWavefunction:
     """Conjugate-basis wavefunction on the same (symmetric) grid.
 
     Both directions use the kernel exp(i*u*v)/sqrt(2 pi), so applying the
     transform twice returns the parity-reflected input.
     """
-    if not wf.grid.is_symmetric():
+    if not is_symmetric(wf.grid):
         raise DomainError(
             f"fourier_pair requires a grid symmetric about 0, got "
             f"[{wf.grid.min}, {wf.grid.max}]"
@@ -110,6 +126,40 @@ def fourier_pair(wf: QuadratureWavefunction) -> QuadratureWavefunction:
     values = _continuous_ft(wf.values, pts, wf.grid.spacing, pts)
     flipped = Basis.X if wf.basis is Basis.P else Basis.P
     return QuadratureWavefunction(wf.grid, values, flipped)
+
+
+# ---------------------------------------------------------------------------
+# quadrature second moments: on grids, as the library once computed them,
+# and from the Fock identities in long double
+
+
+def riemann_quadrature_variances(state) -> tuple[float, float]:
+    """(Delta x^2, Delta p^2) about the origin as Riemann second moments of
+    the expanded quadrature densities: p on `grid_for_state`, x on a grid
+    of about 8 sigma_x, where the Fock <x^2> sizes the grid only."""
+    p_wf = to_quadrature(state, grid_for_state(state), Basis.P)
+    dp2 = quadrature_moment(p_wf, order=2)
+
+    x2_est, _ = quadrature_variances(state)
+    k_max = _turning_point(effective_max_index(state))
+    sigma_x = np.sqrt(max(x2_est, 1e-6))
+    x_grid = _symmetric_grid(min(8.0 * sigma_x + 2.0, k_max + 8.0),
+                             min(np.pi / (8.0 * k_max), sigma_x / 8.0))
+    x_wf = to_quadrature(state, x_grid, Basis.X)
+    dx2 = quadrature_moment(x_wf, order=2)
+    return dx2, dp2
+
+
+def longdouble_quadrature_variances(state) -> tuple[float, float]:
+    """The Fock identities <x^2>, <p^2> = <n> + 1/2 -+ Re<a^2>, summed in
+    np.longdouble."""
+    a = state.amplitudes.astype(np.clongdouble)
+    a = a / np.sqrt(np.sum(np.abs(a) ** 2))
+    n = np.arange(a.size, dtype=np.longdouble)
+    mean_n = np.sum(n * np.abs(a) ** 2)
+    k = n[:-2]
+    re_a2 = np.real(np.sum(np.conj(a[:-2]) * a[2:] * np.sqrt((k + 1) * (k + 2))))
+    return mean_n + 0.5 - re_a2, mean_n + 0.5 + re_a2
 
 
 # ---------------------------------------------------------------------------
@@ -155,3 +205,18 @@ def reference_histogram_csv(edges, counts) -> str:
     for left, right, count in zip(edges[:-1], edges[1:], counts):
         lines.append(f"{_fmt(left)},{_fmt(right)},{int(count)}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# CSV readers, for round trips through the library's writers
+
+
+def read_number_state_csv(path: str) -> NumberState:
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return NumberState(data[:, 1] + 1j * data[:, 2])
+
+
+def read_wavefunction_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, complex values); grid and basis metadata are not stored."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return data[:, 0], data[:, 1] + 1j * data[:, 2]

@@ -13,27 +13,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spincat
-from helpers import reference_number_state_csv, reference_wavefunction_csv
+from helpers import (
+    read_number_state_csv,
+    reference_number_state_csv,
+    reference_wavefunction_csv,
+)
 from spincat import (
     Basis,
     CatApproxParams,
+    ResolutionError,
     alpha_from_xi2,
     apply_number_qnd,
     approx_p_wavefunction,
     approx_x_wavefunction,
     check_cat_conditions,
+    choose_truncation,
     default_cat_grid,
     grid_for_state,
     mu_of_outcome,
     outcome_sampler,
+    quadrature_variances,
     riemann_normalize,
     squeezed_state_exact,
     squeezed_state_stirling,
     to_quadrature,
 )
-from spincat.cli import FIELDS, TRAJECTORY_BLOCK, main
-from spincat.io import read_number_state_csv
-from spincat.state import effective_max_index
+from spincat.cli import FIELDS, TRAJECTORY_BLOCK, _check_coverage, main
+from spincat.state import HERMITE_N_BUDGET, _expand, effective_max_index
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +111,34 @@ def test_squeeze_truncation_capacity_is_numeric_error(tmp_path, capsys):
                              "--out-dir", str(tmp_path))
     assert code == 3
     assert json.loads(err)["kind"] == "CapacityError"
+
+
+def test_squeeze_grid_that_misses_the_state_writes_no_file(tmp_path, capsys):
+    # +-3 holds 66 % of the p norm at xi2 = 20, where Delta p = 3.2.
+    code, out, err = run_cli(capsys, "squeeze", "--xi2", "20", "--grid-half-width", "3",
+                             "--grid-count", "256", "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["kind"] == "ResolutionError"
+    assert list(tmp_path.iterdir()) == []
+
+
+# 173.5 is the last xi2 whose occupancy stays within HERMITE_N_BUDGET.
+@pytest.mark.parametrize("xi2", [1.0, 1.5, 2.0, 5.0, 20.0, 60.0, 100.0, 140.0, 173.5])
+def test_default_squeeze_grids_pass_the_coverage_check(xi2):
+    state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, 1e-10))
+    assert effective_max_index(state) <= HERMITE_N_BUDGET
+    wavefunctions = _expand([(state, Basis.P), (state, Basis.X)], grid_for_state(state))
+    _check_coverage(wavefunctions, *quadrature_variances(state))
+
+
+def test_coverage_check_compares_each_second_moment():
+    state = squeezed_state_exact(20.0, 230)
+    wavefunctions = _expand([(state, Basis.P), (state, Basis.X)], grid_for_state(state))
+    dx2, dp2 = quadrature_variances(state)
+    for moments in ((1.002 * dx2, dp2), (dx2, 1.002 * dp2)):
+        with pytest.raises(ResolutionError):
+            _check_coverage(wavefunctions, *moments)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +629,21 @@ def test_out_dir_that_cannot_be_created_exits_config(tmp_path, capsys, monkeypat
     assert err.startswith("config error: cannot create out_dir")
     assert "Traceback" not in err
     assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("levels", [["new"], ["new", "deeper", ""], ["kept", "new"]],
+                         ids=["one-level", "two-levels-trailing-slash", "under-an-existing"])
+def test_failing_first_write_removes_the_out_dir_it_created(tmp_path, capsys, levels):
+    (tmp_path / "kept").mkdir()
+    # The one outcome near 3.7e19 fails the histogram inside the first write.
+    code, out, err = run_cli(capsys, "trajectories", "--xi2", "16",
+                             "--beta", "18446744073709551616", "--count", "1",
+                             "--out-dir", os.path.join(tmp_path, *levels))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["kind"] == "DomainError"
+    assert [path.name for path in tmp_path.iterdir()] == ["kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
 
 
 # Numbers drawn for these fields are capped so that a run that succeeds

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import chi2, kstest
 
-from helpers import brute_force_number_qnd, chi_square_vs_mixture, hermite_basis
+from helpers import (
+    brute_force_number_qnd,
+    chi_square_vs_mixture,
+    hermite_basis,
+    longdouble_quadrature_variances,
+    riemann_quadrature_variances,
+)
 from spincat import (
     Basis,
     CatApproxParams,
@@ -161,6 +167,28 @@ def test_squeezed_variances(xi2):
     dx2, dp2 = quadrature_variances(state)
     assert dx2 == pytest.approx(1.0 / (2.0 * xi2), rel=0.01)
     assert dp2 == pytest.approx(xi2 / 2.0, rel=0.01)
+
+
+@pytest.mark.parametrize("xi2", [2.0, 5.0, 20.0, 60.0])
+def test_squeezed_variances_match_the_grid_moments(xi2):
+    # The x moment on the oracle's own grid is off by up to 3.0e-8 (xi2 = 60).
+    state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, 1e-10))
+    dx2, dp2 = quadrature_variances(state)
+    grid_dx2, grid_dp2 = riemann_quadrature_variances(state)
+    assert dp2 == pytest.approx(grid_dp2, rel=1e-12)
+    assert dx2 == pytest.approx(grid_dx2, rel=1e-7)
+
+
+def test_squeezed_variances_match_longdouble_at_large_xi2():
+    """<x^2> = <n> + 1/2 - Re<a^2> is the difference of two terms near 37.5,
+    so its double-precision error scales with <p^2> = 75, not with <x^2>:
+    7.9e-15, which is 2.4e-12 of <x^2>."""
+    state = squeezed_state_exact(150.0, choose_truncation(150.0, 1.0, 0.0, 1e-10))
+    dx2, dp2 = quadrature_variances(state)
+    ref_dx2, ref_dp2 = longdouble_quadrature_variances(state)
+    assert abs(dp2 - ref_dp2) <= 1e-15 * ref_dp2
+    assert abs(dx2 - ref_dx2) <= 1e-15 * ref_dp2
+    assert dp2 == pytest.approx(75.0, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

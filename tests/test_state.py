@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite as np_hermite
 
-from helpers import fourier_pair, hermite_basis, reference_expansion
+from helpers import (
+    fourier_pair,
+    hermite_basis,
+    is_symmetric,
+    read_number_state_csv,
+    read_wavefunction_csv,
+    reference_expansion,
+)
 from spincat import (
     Basis,
     DegenerateStateError,
@@ -25,19 +32,9 @@ from spincat import (
     squeezed_state_exact,
     to_quadrature,
 )
-from spincat.io import (
-    read_number_state_csv,
-    read_wavefunction_csv,
-    write_number_state_csv,
-    write_wavefunction_csv,
-)
-from spincat import default_cat_grid, protocol
-from spincat.state import (
-    QuadratureWavefunction,
-    _expand,
-    _fock_quadrature_second_moments,
-    effective_max_index,
-)
+from spincat.io import write_number_state_csv, write_wavefunction_csv
+from spincat import default_cat_grid
+from spincat.state import QuadratureWavefunction, _expand, effective_max_index
 
 
 def vacuum(n_max=0):
@@ -406,37 +403,16 @@ def oracle_default_cat_grid(mu, n_eff):
     return half, _doubled(2, lambda c: c < 1.0 + 2.0 * half / spacing)
 
 
-def oracle_variance_x_grid(state):
-    x2_est, _ = _fock_quadrature_second_moments(state)
-    k_max = np.sqrt(2.0 * effective_max_index(state) + 1.0)
-    sigma_x = np.sqrt(max(x2_est, 1e-6))
-    half = min(8.0 * sigma_x + 2.0, k_max + 8.0)
-    spacing = min(np.pi / (8.0 * k_max), sigma_x / 8.0)
-    return half, _doubled(2, lambda c: c - 1 < 2.0 * half / spacing)
-
-
 def swept_squeezed_states():
     for xi2 in SWEEP_XI2:
         yield squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, 1e-10))
 
 
-def test_grid_sizes_match_the_former_formulas(monkeypatch):
-    grids = {}
-
-    def record(state, grid, basis):
-        grids[basis] = grid
-        return QuadratureWavefunction(grid, np.ones(grid.count), basis)
-
-    monkeypatch.setattr(protocol, "to_quadrature", record)
+def test_grid_sizes_match_the_former_formulas():
     for state in swept_squeezed_states():
         grid = grid_for_state(state)
         assert (grid.max, grid.count) == oracle_grid_for_state(state)
         assert grid.min == -grid.max
-        protocol.quadrature_variances(state)
-        assert grids[Basis.P] == grid
-        x_grid = grids[Basis.X]
-        assert (x_grid.max, x_grid.count) == oracle_variance_x_grid(state)
-        assert x_grid.min == -x_grid.max
     for mu in SWEEP_MU:
         for n_eff in (0, 7, 40, 230, 1000, 4096):
             grid = default_cat_grid(mu, n_eff)
@@ -448,8 +424,8 @@ def test_grid_points_are_antisymmetric():
     grid = QuadratureGrid(-7.0, 7.0, 258)
     pts = grid.points()
     assert np.array_equal(pts, -pts[::-1])
-    assert grid.is_symmetric()
-    assert not QuadratureGrid(-1.0, 2.0, 16).is_symmetric()
+    assert is_symmetric(grid)
+    assert not is_symmetric(QuadratureGrid(-1.0, 2.0, 16))
 
 
 def test_grid_validation():
