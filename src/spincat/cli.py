@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -128,7 +129,9 @@ FIELDS = {
 # argument parsing and config resolution
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process, on the first call."""
     parser = argparse.ArgumentParser(
         prog="spincat",
         description="Two-step QND protocol simulator for collective-spin "
@@ -263,7 +266,8 @@ def _feasibility_rules(cfg):
 
 
 class _OutDirError(Exception):
-    """The output directory cannot be created: a configuration error."""
+    """The output directory cannot be created or an output file cannot be
+    written there: a configuration error."""
 
 
 def _outputs(out_dir: str):
@@ -271,7 +275,9 @@ def _outputs(out_dir: str):
     creates out_dir on its first call, records path = out_dir/name in
     files[key] and calls the io writer(*args, path, **kwargs).  When that
     first writer fails, the levels of out_dir the call created are removed
-    again."""
+    again.  An OSError of makedirs or a writer, or a ValueError of makedirs
+    (a NUL in the name), becomes an _OutDirError; files written before it
+    stay."""
     files = {}
 
     def write(key: str, name: str, writer, *args, **kwargs) -> None:
@@ -283,15 +289,17 @@ def _outputs(out_dir: str):
                 level = os.path.dirname(level)
             try:
                 os.makedirs(out_dir, exist_ok=True)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 raise _OutDirError(f"cannot create out_dir {out_dir!r}: {exc}") from exc
         files[key] = os.path.join(out_dir, name)
         try:
             writer(*args, files[key], **kwargs)
-        except BaseException:
+        except BaseException as exc:
             for level in created:  # deepest first; rmdir keeps what is not empty
                 with contextlib.suppress(OSError):
                     os.rmdir(level)
+            if isinstance(exc, OSError):
+                raise _OutDirError(f"cannot write {files[key]!r}: {exc}") from exc
             raise
 
     return files, write
@@ -304,24 +312,30 @@ def _output_grid(cfg, fallback: QuadratureGrid) -> QuadratureGrid:
     return fallback
 
 
-# Relative tolerance of squeeze's coverage check.  On default grids the
-# worst residual, 6.3e-4, is at xi2 = 173.5, the last xi2 within
-# HERMITE_N_BUDGET, where the eigenfunction rows lose mass past n = 700;
-# for xi2 <= 60 it is below 5e-13.  A grid that cuts off the state misses
-# by far more: on +-3 at xi2 = 20, 34 % of the p norm.
+# Relative tolerance of the coverage check of both squeeze and cat.  On
+# default squeeze grids the worst residual, 6.3e-4, is at xi2 = 173.5, the
+# last xi2 within HERMITE_N_BUDGET, where the eigenfunction rows lose mass
+# past n = 700; for xi2 <= 60 it is below 5e-13.  A grid that cuts off the
+# state misses by far more: on +-3 at xi2 = 20, 34 % of the p norm; on +-2,
+# 98 % of the p norm of the cat near the reference point.
 COVERAGE_TOL = 1e-3
 
 
-def _check_coverage(wavefunctions, dx2: float, dp2: float) -> None:
+def _check_coverage(wavefunctions, dx2: float | None = None,
+                    dp2: float | None = None) -> None:
     """Raise ResolutionError unless each wavefunction of a normalized state
-    has a Riemann norm**2 within COVERAGE_TOL of 1 and a Riemann second
-    moment within COVERAGE_TOL, relative, of dx2 (x) or dp2 (p)."""
+    has a Riemann norm**2 within COVERAGE_TOL of 1 and, where dx2 and dp2
+    are given, a Riemann second moment within COVERAGE_TOL, relative, of
+    dx2 (x) or dp2 (p)."""
     for wf in wavefunctions:
-        moment = dx2 if wf.basis is Basis.X else dp2
-        miss = max(abs(riemann_norm(wf) ** 2 - 1.0), abs(quadrature_moment(wf) / moment - 1.0))
+        miss = abs(riemann_norm(wf) ** 2 - 1.0)
+        if dx2 is not None:
+            moment = dx2 if wf.basis is Basis.X else dp2
+            miss = max(miss, abs(quadrature_moment(wf) / moment - 1.0))
         if not miss <= COVERAGE_TOL:
-            raise ResolutionError(f"the {wf.basis.value} grid misses the state: norm or second "
-                                  f"moment off by {miss:.3g} (tolerance {COVERAGE_TOL:g})")
+            what = "norm" if dx2 is None else "norm or second moment"
+            raise ResolutionError(f"the {wf.basis.value} grid misses the state: {what} "
+                                  f"off by {miss:.3g} (tolerance {COVERAGE_TOL:g})")
 
 
 def run_squeeze(cfg: argparse.Namespace) -> dict:
@@ -396,8 +410,8 @@ def run_cat(cfg: argparse.Namespace) -> dict:
         fallback = grid_for_state(cat_state)
     grid = _output_grid(cfg, fallback)
 
-    exact_p, exact_x = (riemann_normalize(wf) for wf in _expand(
-        [(cat_state, Basis.P), (cat_state, Basis.X)], grid))
+    expanded = _expand([(cat_state, Basis.P), (cat_state, Basis.X)], grid)
+    exact_p, exact_x = (riemann_normalize(wf) for wf in expanded)
     wavefunctions = [("cat_p", exact_p), ("cat_x", exact_x)]
     overlap_p = None
     if mu_exact > 0.0:
@@ -420,6 +434,7 @@ def run_cat(cfg: argparse.Namespace) -> dict:
         "xi2": cfg.xi2,
         "beta": cfg.beta,
     })
+    _check_coverage(expanded)
 
     files, write = _outputs(cfg.out_dir)
     write("cat_state", "cat_state.csv", io.write_number_state_csv, cat_state)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -38,8 +39,8 @@ from spincat import (
     squeezed_state_stirling,
     to_quadrature,
 )
-from spincat.cli import FIELDS, TRAJECTORY_BLOCK, _check_coverage, main
-from spincat.state import HERMITE_N_BUDGET, _expand, effective_max_index
+from spincat.cli import FIELDS, TRAJECTORY_BLOCK, _check_coverage, build_parser, main
+from spincat.state import HERMITE_N_BUDGET, _expand, effective_max_index, riemann_norm
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +228,35 @@ def test_failing_cat_writes_no_file(tmp_path, capsys, argv):
     assert out == ""
     assert json.loads(err)["kind"] == "ResolutionError"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--xi2", "45.933626852860776", "--beta", "0.03197871375401286",
+     "--pr-over-beta", "24.844678751740197"],
+    ["--xi2", "20", "--beta", "0.3333", "--pr-over-beta", "7",
+     "--grid-half-width", "2", "--grid-count", "256"],
+], ids=["default-grid-short-by-5e-3", "override-grid-short-by-0.98"])
+def test_cat_grid_that_misses_the_state_writes_no_file(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, "cat", *argv, "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "ResolutionError" and "norm off by" in doc["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("xi2, beta, pr_over_beta", [
+    (20.0, 1.0 / 3.0, 7.0), (200.0, 0.05, 100.0), (200.0, 0.05, 130.0)],
+    ids=["reference", "large-100", "large-130"])
+def test_default_cat_grids_pass_the_coverage_check(xi2, beta, pr_over_beta):
+    mu_exact, mu_approx = mu_of_outcome(beta * pr_over_beta, beta, xi2)
+    n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx), 1e-10)
+    cat = apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, beta * pr_over_beta)
+    wavefunctions = _expand([(cat, Basis.P), (cat, Basis.X)],
+                            default_cat_grid(mu_exact, effective_max_index(cat)))
+    _check_coverage(wavefunctions)
+    for wf in wavefunctions:
+        assert riemann_norm(wf) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cat_improbable_outcome_exit_code(tmp_path, capsys):
@@ -631,6 +661,33 @@ def test_out_dir_that_cannot_be_created_exits_config(tmp_path, capsys, monkeypat
     assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
+def test_nul_out_dir_from_a_config_file_exits_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps({"preset": "bec-cavity", "out_dir": "ab\u0000c"}))
+    code, out, err = run_cli(capsys, "feasibility", "--config", "run.json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: cannot create out_dir")
+    assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["squeeze", "--xi2", "2"], "squeeze_exact_state.csv"),
+    (["cat", "--xi2", "2", "--beta", "0.1", "--pr", "0.05"], "cat_state.csv"),
+    (["trajectories", "--xi2", "20", "--beta", "0.5", "--count", "10"],
+     "trajectories.jsonl"),
+    (["feasibility", "--preset", "bec-cavity"], "feasibility_report.json"),
+], ids=["squeeze", "cat", "trajectories", "feasibility"])
+def test_directory_at_an_output_name_exits_config(tmp_path, capsys, argv, first):
+    (tmp_path / first).mkdir()
+    code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot write {str(tmp_path / first)!r}")
+    assert "Traceback" not in err
+    assert [path.name for path in tmp_path.iterdir()] == [first]
+
+
 @pytest.mark.parametrize("levels", [["new"], ["new", "deeper", ""], ["kept", "new"]],
                          ids=["one-level", "two-levels-trailing-slash", "under-an-existing"])
 def test_failing_first_write_removes_the_out_dir_it_created(tmp_path, capsys, levels):
@@ -727,6 +784,59 @@ def test_fuzz_fields_exit_codes(tmp_path_factory, data):
         assert isinstance(_strict_json(stdout.getvalue()), dict)
     else:
         assert stdout.getvalue() == ""
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    for command in ("squeeze", "cat", "trajectories", "feasibility"):
+        assert run_cli(capsys, command, "--help")[0] == 0
+    assert run_cli(capsys, "feasibility", "--preset", "bec-cavity",
+                   "--out-dir", str(tmp_path))[0] == 0
+    assert built.count("spincat") == 1
+
+
+def test_argparse_error_leaves_the_next_command_unchanged(tmp_path, capsys):
+    argv = ["cat", "--xi2", "2", "--beta", "0.1", "--pr", "0.05", "--out-dir", str(tmp_path)]
+    first = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, "cat", "--xi2", "two", "--pr", "0.05")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: spincat cat") and "invalid number value" in err
+    assert run_cli(capsys, *argv) == first
+    assert first[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["cat", "--help"]], ids=["top", "cat"])
+def test_help_is_the_same_on_every_call_and_follows_columns(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = run_cli(capsys, *argv)
+    assert wide == run_cli(capsys, *argv)
+    assert wide[0] == 0 and wide[1].startswith("usage: spincat") and wide[2] == ""
+    monkeypatch.setenv("COLUMNS", "60")
+    narrow = run_cli(capsys, *argv)[1]
+    assert max(map(len, narrow.splitlines())) <= 60 < max(map(len, wide[1].splitlines()))
+
+
+def test_config_values_do_not_carry_over(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"preset": "bec-cavity",
+                                  "out_dir": str(tmp_path / "from_config")}))
+    code, out, _ = run_cli(capsys, "feasibility", "--config", str(config))
+    assert code == 0 and stdout_json(out)["report"]["preset"] == "bec-cavity"
+    code, out, err = run_cli(capsys, "feasibility", "--kappa0", "1e4", "--gamma", "1",
+                             "--delta", "100", "--n-atoms", "400000", "--n-photons",
+                             "32000", "--out-dir", str(tmp_path / "flags"))
+    assert code == 0, err
+    result = stdout_json(out)
+    assert "preset" not in result["report"]
+    assert result["files"]["report"] == str(tmp_path / "flags" / "feasibility_report.json")
 
 
 def test_cli_import_leaves_scipy_out():
