@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Sweep the conditional mean flip number and tabulate cat metrics.
 
-For each mu the exact two-step conditional state is built at the outcome
-p_R = beta * (mu - correction) that makes mu_exact equal the requested mu,
-then peak and fringe detectors run on both the exact state and the
-two-Gaussian / envelope-cosine approximations.
+For each mu the cat is analyzed, as `spincat cat --pr` does, at the outcome
+p_R = beta * (mu - correction) that makes mu_exact equal the requested mu.
+The detected peaks and fringes are set against their closed forms, and the
+exact p wavefunction against the two-Gaussian approximation.  A point whose
+grid loses probability mass, or any other spincat error, ends the sweep
+with exit 3.
 """
 
 import argparse
@@ -13,21 +15,7 @@ import sys
 
 import numpy as np
 
-from spincat import (
-    Basis,
-    CatApproxParams,
-    approx_p_wavefunction,
-    apply_number_qnd,
-    check_cat_conditions,
-    choose_truncation,
-    default_cat_grid,
-    detect_peaks,
-    fringe_metrics,
-    overlap,
-    riemann_normalize,
-    squeezed_state_exact,
-)
-from spincat.state import _expand, effective_max_index
+from spincat import SpinCatError, analyze_cat, detect_peaks
 
 
 def invert_mu(mu, beta, xi2):
@@ -35,37 +23,30 @@ def invert_mu(mu, beta, xi2):
     return beta * mu - np.log((xi2 - 1.0) / (xi2 + 1.0)) / (2.0 * beta)
 
 
+def _nan_if_none(value):
+    return float("nan") if value is None else value
+
+
 def run_sweep(xi2, beta, mu_values):
     rows = []
     for mu in mu_values:
         p_r = invert_mu(mu, beta, xi2)
-        n_max = choose_truncation(xi2, beta, mu, 1e-10)
-        cat = apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, p_r)
-        grid = default_cat_grid(mu, effective_max_index(cat))
-        p_wf, x_wf = (riemann_normalize(wf) for wf in _expand(
-            [(cat, Basis.P), (cat, Basis.X)], grid))
-
-        positions, widths = detect_peaks(p_wf)
-        try:
-            period, visibility = fringe_metrics(x_wf)
-        except Exception:
-            period, visibility = float("nan"), float("nan")
-        approx = approx_p_wavefunction(CatApproxParams(mu=mu, beta=beta), grid)
-        resolvable, reachable, combined = check_cat_conditions(mu, beta, xi2)
+        _, _, wavefunctions, metrics = analyze_cat(xi2, beta, p_r, 1e-10)
+        positions, widths = detect_peaks(dict(wavefunctions)["cat_p"])
         rows.append({
             "mu": mu,
             "p_R": p_r,
             "n_peaks": len(positions),
-            "peak_abs": abs(positions[-1]) if positions else float("nan"),
+            "peak_abs": abs(positions[-1]),
             "peak_target": np.sqrt(2.0 * mu),
             "mean_width": float(np.mean(widths)),
-            "fringe_period": period,
+            "fringe_period": _nan_if_none(metrics["fringe_period"]),
             "period_target": 2.0 * np.pi / np.sqrt(2.0 * mu),
-            "visibility": visibility,
-            "overlap_approx": overlap(p_wf, approx),
-            "resolvable": resolvable,
-            "reachable": reachable,
-            "combined": combined,
+            "visibility": _nan_if_none(metrics["visibility"]),
+            "overlap_approx": _nan_if_none(metrics["overlap_p_approx"]),
+            "resolvable": metrics["resolvable"],
+            "reachable": metrics["reachable"],
+            "combined": metrics["combined"],
         })
     return rows
 
@@ -79,9 +60,15 @@ def main():
     parser.add_argument("--steps", type=int, default=7)
     parser.add_argument("--csv", help="optional output CSV path")
     args = parser.parse_args()
+    if args.steps < 1:
+        parser.error(f"--steps must be at least 1, got {args.steps}")
 
     mu_values = np.linspace(args.mu_min, args.mu_max, args.steps)
-    rows = run_sweep(args.xi2, args.beta, mu_values)
+    try:
+        rows = run_sweep(args.xi2, args.beta, mu_values)
+    except SpinCatError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(3)
 
     header = ("mu", "n_peaks", "peak_abs", "peak_target", "fringe_period",
               "period_target", "visibility", "overlap_approx", "resolvable")

@@ -6,7 +6,7 @@ import argparse
 
 import numpy as np
 
-from spincat import ExperimentalParams, evaluate_scenario
+from spincat import DomainError, ExperimentalParams, evaluate_scenario
 
 
 def survey(transmission, kappa0_values, atom_values, gamma, delta_ratio):
@@ -23,7 +23,7 @@ def survey(transmission, kappa0_values, atom_values, gamma, delta_ratio):
             try:
                 report = evaluate_scenario(params)
                 cells.append(report.depth_flag)
-            except Exception:
+            except DomainError:
                 cells.append("regime!")
         print(f"{kappa0:>13.0f}" + "".join(f"{c:>12s}" for c in cells))
 

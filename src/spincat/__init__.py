@@ -4,6 +4,7 @@ squeezed and cat states, plus an experimental feasibility calculator."""
 from .cat import (
     CatApproxParams,
     CatMetrics,
+    analyze_cat,
     approx_p_wavefunction,
     approx_x_wavefunction,
     check_cat_conditions,
@@ -29,7 +30,6 @@ from .feasibility import (
     evaluate_scenario,
 )
 from .protocol import (
-    ProtocolTrace,
     alpha_from_xi2,
     apply_number_qnd,
     mu_of_outcome,

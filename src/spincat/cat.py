@@ -19,21 +19,34 @@ moment of the probability density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (
     DegenerateStateError,
     DomainError,
+    ImprobableOutcomeError,
     NoCatError,
     NoFringeError,
     ResolutionError,
+)
+from .protocol import (
+    apply_number_qnd,
+    mu_of_outcome,
+    outcome_density_second,
+    squeezed_state_exact,
 )
 from .state import (
     Basis,
     QuadratureGrid,
     QuadratureWavefunction,
+    _check_coverage,
+    _expand,
+    choose_truncation,
+    default_cat_grid,
+    effective_max_index,
+    grid_for_state,
     quadrature_moment,
     riemann_normalize,
 )
@@ -68,6 +81,7 @@ class CatMetrics:
     visibility: float | None
     resolvable: bool
     reachable: bool
+    combined: bool
 
 
 def approx_p_wavefunction(params: CatApproxParams, grid: QuadratureGrid) -> QuadratureWavefunction:
@@ -248,7 +262,7 @@ def compute_cat_metrics(p_wf: QuadratureWavefunction, x_wf: QuadratureWavefuncti
                         mu: float, beta: float, xi2: float) -> CatMetrics:
     """Detector-driven metrics for a candidate cat state; peak and fringe
     fields degrade to None when the corresponding structure is absent."""
-    resolvable, reachable, _ = check_cat_conditions(mu, beta, xi2)
+    resolvable, reachable, combined = check_cat_conditions(mu, beta, xi2)
 
     positions = std = separation = None
     try:
@@ -279,4 +293,42 @@ def compute_cat_metrics(p_wf: QuadratureWavefunction, x_wf: QuadratureWavefuncti
         visibility=visibility,
         resolvable=resolvable,
         reachable=reachable,
+        combined=combined,
     )
+
+
+def analyze_cat(xi2: float, beta: float, p_R: float, tail_tol: float,
+                grid: QuadratureGrid | None = None):
+    """(cat_state, grid, wavefunctions, metrics) of the cat that the outcome
+    p_R leaves; `grid` overrides the default grid.  wavefunctions are (name,
+    wavefunction) pairs, the approximations only for mu_exact > 0.  An
+    improbable outcome's error carries its `density`; coverage is checked last."""
+    mu_exact, mu_approx = mu_of_outcome(p_R, beta, xi2)
+    n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx, 0.0), tail_tol)
+    squeezed = squeezed_state_exact(xi2, n_max)
+    try:
+        cat_state = apply_number_qnd(squeezed, beta, p_R)
+    except ImprobableOutcomeError as exc:
+        exc.density = float(outcome_density_second(squeezed, beta)(p_R))
+        raise
+
+    if grid is None:
+        grid = (default_cat_grid(mu_exact, effective_max_index(cat_state))
+                if mu_exact > 0.0 else grid_for_state(cat_state))
+
+    expanded = _expand([(cat_state, Basis.P), (cat_state, Basis.X)], grid)
+    exact_p, exact_x = (riemann_normalize(wf) for wf in expanded)
+    wavefunctions = [("cat_p", exact_p), ("cat_x", exact_x)]
+    overlap_p = None
+    if mu_exact > 0.0:
+        params = CatApproxParams(mu=mu_exact, beta=beta)
+        approx_p = approx_p_wavefunction(params, grid)
+        wavefunctions += [("cat_approx_p", approx_p),
+                          ("cat_approx_x", approx_x_wavefunction(params, grid))]
+        overlap_p = overlap(exact_p, approx_p)
+
+    metrics = asdict(compute_cat_metrics(exact_p, exact_x, mu_exact, beta, xi2))
+    metrics.update(mu_exact=mu_exact, mu_approx=mu_approx, overlap_p_approx=overlap_p,
+                   p_R=p_R, xi2=xi2, beta=beta)
+    _check_coverage(expanded)
+    return cat_state, grid, wavefunctions, metrics

@@ -21,22 +21,12 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 import numpy as np
 
 from . import io
-from .cat import (
-    CatApproxParams,
-    approx_p_wavefunction,
-    approx_x_wavefunction,
-    check_cat_conditions,
-    compute_cat_metrics,
-    overlap,
-)
-from .errors import DomainError, ImprobableOutcomeError, ResolutionError, SpinCatError
+from .cat import analyze_cat, check_cat_conditions
+from .errors import DomainError, ImprobableOutcomeError, SpinCatError
 from .feasibility import PRESETS, ExperimentalParams, evaluate_scenario
 from .protocol import (
-    ProtocolTrace,
     alpha_from_xi2,
-    apply_number_qnd,
     mu_of_outcome,
-    outcome_density_second,
     outcome_sampler,
     quadrature_variances,
     sample_first_outcome,
@@ -49,15 +39,11 @@ from .state import (
     QuadratureGrid,
     RandomSource,
     _TRUNCATION_CAP,
+    _check_coverage,
     _expand,
     choose_truncation,
-    default_cat_grid,
-    effective_max_index,
     grid_for_state,
     mean_occupation,
-    quadrature_moment,
-    riemann_norm,
-    riemann_normalize,
 )
 
 EXIT_OK = 0
@@ -305,37 +291,11 @@ def _outputs(out_dir: str):
     return files, write
 
 
-def _output_grid(cfg, fallback: QuadratureGrid) -> QuadratureGrid:
+def _output_grid(cfg) -> QuadratureGrid | None:
     if cfg.grid_half_width is not None:
         return QuadratureGrid(-cfg.grid_half_width, cfg.grid_half_width,
                               cfg.grid_count)
-    return fallback
-
-
-# Relative tolerance of the coverage check of both squeeze and cat.  On
-# default squeeze grids the worst residual, 6.3e-4, is at xi2 = 173.5, the
-# last xi2 within HERMITE_N_BUDGET, where the eigenfunction rows lose mass
-# past n = 700; for xi2 <= 60 it is below 5e-13.  A grid that cuts off the
-# state misses by far more: on +-3 at xi2 = 20, 34 % of the p norm; on +-2,
-# 98 % of the p norm of the cat near the reference point.
-COVERAGE_TOL = 1e-3
-
-
-def _check_coverage(wavefunctions, dx2: float | None = None,
-                    dp2: float | None = None) -> None:
-    """Raise ResolutionError unless each wavefunction of a normalized state
-    has a Riemann norm**2 within COVERAGE_TOL of 1 and, where dx2 and dp2
-    are given, a Riemann second moment within COVERAGE_TOL, relative, of
-    dx2 (x) or dp2 (p)."""
-    for wf in wavefunctions:
-        miss = abs(riemann_norm(wf) ** 2 - 1.0)
-        if dx2 is not None:
-            moment = dx2 if wf.basis is Basis.X else dp2
-            miss = max(miss, abs(quadrature_moment(wf) / moment - 1.0))
-        if not miss <= COVERAGE_TOL:
-            what = "norm" if dx2 is None else "norm or second moment"
-            raise ResolutionError(f"the {wf.basis.value} grid misses the state: {what} "
-                                  f"off by {miss:.3g} (tolerance {COVERAGE_TOL:g})")
+    return None
 
 
 def run_squeeze(cfg: argparse.Namespace) -> dict:
@@ -343,7 +303,7 @@ def run_squeeze(cfg: argparse.Namespace) -> dict:
     if n_max is None:
         n_max = choose_truncation(cfg.xi2, 1.0, 0.0, cfg.tail_tol)
     exact = squeezed_state_exact(cfg.xi2, n_max)
-    grid = _output_grid(cfg, grid_for_state(exact))
+    grid = _output_grid(cfg) or grid_for_state(exact)
     dx2, dp2 = quadrature_variances(exact)
 
     families = [("squeeze_exact", exact)]
@@ -393,62 +353,25 @@ def run_cat(cfg: argparse.Namespace) -> dict:
     else:
         p_R = cfg.beta * cfg.pr_over_beta
 
-    mu_exact, mu_approx = mu_of_outcome(p_R, cfg.beta, cfg.xi2)
-    n_max = choose_truncation(cfg.xi2, cfg.beta, max(mu_exact, mu_approx, 0.0),
-                              cfg.tail_tol)
-    squeezed = squeezed_state_exact(cfg.xi2, n_max)
-    try:
-        cat_state = apply_number_qnd(squeezed, cfg.beta, p_R)
-    except ImprobableOutcomeError as exc:
-        density = outcome_density_second(squeezed, cfg.beta)(p_R)
-        exc.density = float(density)
-        raise
-
-    if mu_exact > 0.0:
-        fallback = default_cat_grid(mu_exact, effective_max_index(cat_state))
-    else:
-        fallback = grid_for_state(cat_state)
-    grid = _output_grid(cfg, fallback)
-
-    expanded = _expand([(cat_state, Basis.P), (cat_state, Basis.X)], grid)
-    exact_p, exact_x = (riemann_normalize(wf) for wf in expanded)
-    wavefunctions = [("cat_p", exact_p), ("cat_x", exact_x)]
-    overlap_p = None
-    if mu_exact > 0.0:
-        params = CatApproxParams(mu=mu_exact, beta=cfg.beta)
-        approx_p = approx_p_wavefunction(params, grid)
-        wavefunctions += [("cat_approx_p", approx_p),
-                          ("cat_approx_x", approx_x_wavefunction(params, grid))]
-        overlap_p = overlap(exact_p, approx_p)
-
-    metrics = compute_cat_metrics(exact_p, exact_x, mu_exact, cfg.beta, cfg.xi2)
-    _, _, combined = check_cat_conditions(mu_exact, cfg.beta, cfg.xi2)
-    metrics_doc = asdict(metrics)
-    metrics_doc.update({
-        "combined": combined,
-        "mu_exact": mu_exact,
-        "mu_approx": mu_approx,
-        "overlap_p_approx": overlap_p,
-        "p_P": p_P,
-        "p_R": p_R,
-        "xi2": cfg.xi2,
-        "beta": cfg.beta,
-    })
-    _check_coverage(expanded)
+    cat_state, grid, wavefunctions, metrics = analyze_cat(
+        cfg.xi2, cfg.beta, p_R, cfg.tail_tol, _output_grid(cfg))
+    metrics["p_P"] = p_P
 
     files, write = _outputs(cfg.out_dir)
     write("cat_state", "cat_state.csv", io.write_number_state_csv, cat_state)
     coords = io.format_coords(grid)
     for key, wf in wavefunctions:
         write(key, f"{key}.csv", io.write_wavefunction_csv, wf, coords=coords)
-    write("metrics", "cat_metrics.json", io.write_json, metrics_doc)
-    trace = ProtocolTrace(
-        seed=cfg.seed, xi2=cfg.xi2, alpha=alpha, beta=cfg.beta, p_P=p_P,
-        p_R=p_R, mu_exact=mu_exact, mu_approx=mu_approx, n_max=n_max,
-        state_file=os.path.basename(files["cat_state"]),
-    )
-    write("trace", "cat_trace.json", io.write_json, asdict(trace))
-    return {"command": "cat", "files": files, "metrics": metrics_doc}
+    write("metrics", "cat_metrics.json", io.write_json, metrics)
+    # state_file is relative to the directory the trace is written to.
+    trace = {
+        "seed": cfg.seed, "xi2": cfg.xi2, "alpha": alpha, "beta": cfg.beta,
+        "p_P": p_P, "p_R": p_R, "mu_exact": metrics["mu_exact"],
+        "mu_approx": metrics["mu_approx"], "n_max": cat_state.n_max,
+        "state_file": os.path.basename(files["cat_state"]),
+    }
+    write("trace", "cat_trace.json", io.write_json, trace)
+    return {"command": "cat", "files": files, "metrics": metrics}
 
 
 def run_trajectories(cfg: argparse.Namespace) -> dict:
@@ -513,7 +436,7 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
 
 def run_feasibility(cfg: argparse.Namespace) -> dict:
     report = evaluate_scenario(cfg.params)
-    doc = report.to_dict()
+    doc = asdict(report)
     if cfg.preset is not None:
         doc["preset"] = cfg.preset
     files, write = _outputs(cfg.out_dir)

@@ -79,9 +79,6 @@ class FeasibilityReport:
     cavity_applied: bool
     inputs: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def detuned_optics(kappa0: float, gamma: float, delta: float) -> tuple[float, float]:
     """(kappa_detuned, theta_detuned) = (kappa0 gamma^2 / 4 delta^2,

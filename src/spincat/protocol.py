@@ -17,7 +17,6 @@ rule and are sampled exactly (no grid inversion).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,23 +35,6 @@ _A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
       7.93650340457716943945e-4, -2.77777777730099687205e-3,
       8.33333333333331927722e-2)
 _log_factorial_table = np.array([math.log(math.factorial(k)) for k in range(12)])
-
-
-@dataclass(frozen=True)
-class ProtocolTrace:
-    """Record of one full protocol run.  `state_file` names the state CSV
-    relative to the directory the trace is written to."""
-
-    seed: int
-    xi2: float
-    alpha: float
-    beta: float
-    p_P: float | None
-    p_R: float
-    mu_exact: float
-    mu_approx: float
-    n_max: int
-    state_file: str | None
 
 
 def alpha_from_xi2(xi2: float) -> float:
