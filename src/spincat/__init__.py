@@ -51,8 +51,6 @@ from .state import (
     default_cat_grid,
     grid_for_state,
     mean_occupation,
-    norm,
-    normalize,
     quadrature_moment,
     riemann_norm,
     riemann_normalize,

@@ -92,7 +92,7 @@ def approx_p_wavefunction(params: CatApproxParams, grid: QuadratureGrid) -> Quad
     p = grid.points()
     s = np.sqrt(2.0 * params.mu)
     c = params.beta ** 2 * params.mu
-    values = (np.exp(-(p - s) ** 2 * c) + np.exp(-(p + s) ** 2 * c)).astype(complex)
+    values = np.exp(-(p - s) ** 2 * c) + np.exp(-(p + s) ** 2 * c)
     return riemann_normalize(QuadratureWavefunction(grid, values, Basis.P))
 
 
@@ -108,7 +108,7 @@ def approx_x_wavefunction(params: CatApproxParams, grid: QuadratureGrid) -> Quad
             f"fringe period {period:.4g}"
         )
     x = grid.points()
-    values = (np.exp(-x * x / (4.0 * params.beta ** 2 * params.mu)) * np.cos(x * s)).astype(complex)
+    values = np.exp(-x * x / (4.0 * params.beta ** 2 * params.mu)) * np.cos(x * s)
     return riemann_normalize(QuadratureWavefunction(grid, values, Basis.X))
 
 
@@ -182,9 +182,9 @@ def detect_peaks(wf: QuadratureWavefunction) -> tuple[list[float], list[float]]:
 def fringe_metrics(wf: QuadratureWavefunction) -> tuple[float, float]:
     """(period, visibility) of the interference pattern in x.
 
-    The period is twice the mean spacing of zero crossings of the real
-    part inside the envelope; visibility is (max-min)/(max+min) of the
-    density over the extrema adjacent to the central crest, with
+    The period is twice the mean spacing of zero crossings of the
+    wavefunction inside the envelope; visibility is (max-min)/(max+min)
+    of the density over the extrema adjacent to the central crest, with
     parabolic refinement of each extremum.
     """
     if wf.basis is not Basis.X:
@@ -194,9 +194,8 @@ def fringe_metrics(wf: QuadratureWavefunction) -> tuple[float, float]:
     if peak_height == 0.0:
         raise DegenerateStateError("all-zero wavefunction has no fringes")
 
-    # Strip any global phase so the real part carries the oscillation.
-    anchor = wf.values[int(np.argmax(dens))]
-    re = (wf.values * np.exp(-1j * np.angle(anchor))).real
+    # Strip a global sign so that the highest crest is positive.
+    re = np.sign(wf.values[int(np.argmax(dens))]) * wf.values
 
     magnitude = np.abs(wf.values)
     above = np.nonzero(magnitude >= _ENVELOPE_THRESHOLD * magnitude.max())[0]
@@ -248,14 +247,13 @@ def check_cat_conditions(mu: float, beta: float, xi2: float) -> tuple[bool, bool
 
 
 def overlap(wf_a: QuadratureWavefunction, wf_b: QuadratureWavefunction) -> float:
-    """|Riemann inner product| of two wavefunctions on the same grid and
-    basis; equals 1 for identical normalized states."""
+    """|Riemann inner product| of two real wavefunctions on the same grid
+    and basis; equals 1 for identical normalized states."""
     if wf_a.grid != wf_b.grid:
         raise DomainError("overlap requires identical grids")
     if wf_a.basis is not wf_b.basis:
         raise DomainError("overlap requires identical basis labels")
-    inner = np.sum(np.conj(wf_a.values) * wf_b.values) * wf_a.grid.spacing
-    return float(np.abs(inner))
+    return abs(float(np.sum(wf_a.values * wf_b.values) * wf_a.grid.spacing))
 
 
 def compute_cat_metrics(p_wf: QuadratureWavefunction, x_wf: QuadratureWavefunction,

@@ -3,9 +3,10 @@ summaries and reports, JSON lines for trajectories.  All writes are atomic
 (temp file then rename).  CSV fields carry 17 significant digits and JSON
 floats their shortest repr, both enough to round-trip doubles.
 
-Parity: a wavefunction whose values are a bitwise palindrome (every even
-state on a symmetric grid) has only the re,im,abs2 fields of its upper
-half formatted, and a bitwise antisymmetric grid only its positive
+Values are real, so the im column of every CSV is the constant 0.
+Parity: wavefunction values must be a bitwise palindrome (every even
+state on a symmetric grid), and only the re,abs2 fields of their upper
+half are formatted, and a bitwise antisymmetric grid only its positive
 coordinates; the lower half reuses that text, so the bytes are those of
 formatting every point.
 """
@@ -19,14 +20,14 @@ import tempfile
 import numpy as np
 
 from .errors import DomainError
-from .state import NumberState, QuadratureGrid, QuadratureWavefunction, _mirror_half
+from .state import NumberState, QuadratureGrid, QuadratureWavefunction
 
 
 # Row templates applied to zipped columns of Python numbers; "%.17g" gives
 # the same text as f"{x:.17g}", faster.
 _FIELD = "%.17g"
-_STATE_ROW = "%d,%.17g,%.17g\n"
-_WAVEFUNCTION_TAIL = ",%.17g,%.17g,%.17g\n"
+_STATE_ROW = "%d,%.17g,0\n"
+_WAVEFUNCTION_TAIL = ",%.17g,0,%.17g\n"
 _HISTOGRAM_ROW = "%.17g,%.17g,%d\n"
 # One trajectory record as json.dumps(record, sort_keys=True) writes it; the
 # head holds the flags, which take four values within one command.
@@ -56,9 +57,15 @@ def atomic_write_text(path: str, chunks) -> None:
 
 def write_number_state_csv(state: NumberState, path: str) -> None:
     amps = state.amplitudes
-    rows = [_STATE_ROW % row
-            for row in zip(range(amps.size), amps.real.tolist(), amps.imag.tolist())]
+    rows = [_STATE_ROW % row for row in zip(range(amps.size), amps.tolist())]
     atomic_write_text(path, ("n,re,im\n", "".join(rows)))
+
+
+def _mirror_half(leading: np.ndarray, trailing: np.ndarray) -> int:
+    """Half the size when leading[k] has the bits of trailing[-1-k] for
+    every k < half (so -0.0 differs from +0.0), else 0."""
+    half = leading.size // 2
+    return half if leading[:half].tobytes() == trailing[::-1][:half].tobytes() else 0
 
 
 def format_coords(grid: QuadratureGrid) -> list[str]:
@@ -75,8 +82,9 @@ def format_coords(grid: QuadratureGrid) -> list[str]:
 
 def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
                            coords: list[str] | None = None) -> None:
-    """`coords`, if given, is `format_coords(wf.grid)`, computed once for
-    several files on one grid."""
+    """Values that are not a bitwise palindrome raise DomainError, and no
+    file is written.  `coords`, if given, is `format_coords(wf.grid)`,
+    computed once for several files on one grid."""
     if coords is None:
         coords = format_coords(wf.grid)
     elif len(coords) != wf.grid.count:
@@ -85,15 +93,17 @@ def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
         )
     vals = wf.values
     half = _mirror_half(vals, vals)
+    if not half:
+        raise DomainError("wavefunction values are not a bitwise palindrome")
     upper = vals[half:]
-    # Python's abs per element: np.abs(vals) ** 2 can differ in the last ulp.
+    # Python's x ** 2 per element (C pow): numpy's x * x can differ in the
+    # last ulp.
     try:
-        abs2 = [abs(v) ** 2 for v in upper.tolist()]
+        abs2 = [x ** 2 for x in upper.tolist()]
     except OverflowError:
-        # A Python float raises where numpy's scalar gives inf (|v| > 1.3e154).
-        abs2 = [abs(v) ** 2 for v in upper]
-    tails = [_WAVEFUNCTION_TAIL % row
-             for row in zip(upper.real.tolist(), upper.imag.tolist(), abs2)]
+        # A Python float raises where numpy's scalar gives inf (|x| > 1.3e154).
+        abs2 = [x ** 2 for x in upper]
+    tails = [_WAVEFUNCTION_TAIL % row for row in zip(upper.tolist(), abs2)]
     tails = tails[::-1][:half] + tails
     rows = map(str.__add__, coords, tails)
     atomic_write_text(path, ("coord,re,im,abs2\n", "".join(rows)))

@@ -141,7 +141,7 @@ def apply_number_qnd(state: NumberState, beta: float, p_R: float) -> NumberState
             f"(log norm {log_norm:.1f})",
             log_norm=log_norm,
         )
-    return NumberState(scaled / nrm)
+    return NumberState(scaled * (1.0 / nrm))
 
 
 def outcome_density_second(state: NumberState, beta: float):
@@ -222,12 +222,13 @@ def mu_of_outcome(p_R: float, beta: float, xi2: float) -> tuple[float, float]:
 
 def quadrature_variances(state: NumberState) -> tuple[float, float]:
     """(Delta x^2, Delta p^2) about the origin from the Fock identities
-        <x^2> = <n> + 1/2 - Re<a^2>,   <p^2> = <n> + 1/2 + Re<a^2>
+        <x^2> = <n> + 1/2 - <a^2>,   <p^2> = <n> + 1/2 + <a^2>
     in the real <p|n> convention (positive squeezed coefficients are narrow
-    in x): exact for the truncated state, O(n) and without a grid."""
-    a = state.amplitudes / np.linalg.norm(state.amplitudes)
+    in x), with <a^2> real for real amplitudes: exact for the truncated
+    state, O(n) and without a grid."""
+    a = state.amplitudes * (1.0 / np.linalg.norm(state.amplitudes))
     n = np.arange(a.size)
-    mean_n = float(np.sum(n * np.abs(a) ** 2))
+    mean_n = float(np.sum(n * a ** 2))
     k = n[:-2]
-    re_a2 = float(np.real(np.sum(np.conj(a[:-2]) * a[2:] * np.sqrt((k + 1.0) * (k + 2.0)))))
-    return mean_n + 0.5 - re_a2, mean_n + 0.5 + re_a2
+    a2 = float(np.sum(a[:-2] * a[2:] * np.sqrt((k + 1.0) * (k + 2.0))))
+    return mean_n + 0.5 - a2, mean_n + 0.5 + a2

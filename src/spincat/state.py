@@ -3,6 +3,10 @@ oscillator, and transforms to the x/p quadrature representations.
 
 Conventions used throughout:
 
+* amplitudes and wavefunction values are real: every state the protocol
+  builds has real number-basis coefficients, exactly zero at odd n
+  (step 1 makes them so and step 2 multiplies them by a real factor), and
+  on a grid with min == -max its x and p wavefunctions are real and even;
 * momentum-basis matrix elements are real,
   phi_n(p) = pi**(-1/4) * (2**n n!)**(-1/2) * H_n(p) * exp(-p**2/2),
   evaluated with the normalized three-term recurrence (never via raw
@@ -11,15 +15,15 @@ Conventions used throughout:
   of the p representation with kernel exp(i*x*p)/sqrt(2*pi), so applying
   the transform twice reflects a wavefunction through the origin;
 * that kernel maps phi_n(p) to i**n phi_n(x), so the x representation is
-  *computed* by the same recurrence sum as p with coefficients a_n i**n,
-  and no transform is evaluated;
+  *computed* by the same recurrence sum as p with coefficients
+  a_n i**n = a_n (-1)**(n/2) on even n, and no transform is evaluated;
 * expansions that share a grid share one pass of the recurrence
   (`_expand`), one sum per (state, basis) pair;
 * parity: rounding is symmetric under negation, so the recurrence gives
   phi_n(-u) = (-1)**n phi_n(u) bit for bit up to the sign of a zero,
   which a sum started at +0 never shows; a sum over even n only is
-  therefore evaluated on the upper half of a bitwise antisymmetric grid
-  and mirrored, with the same bits as the full evaluation;
+  therefore evaluated on the upper half of a symmetric grid and
+  mirrored, with the same bits as the full evaluation;
 * continuous integrals are midpoint Riemann sums on uniform grids.
 """
 
@@ -89,14 +93,22 @@ class QuadratureGrid:
         return center + offsets * self.spacing
 
 
+def _real(values, what: str) -> np.ndarray:
+    """`values` as a float array; a nonzero imaginary part raises."""
+    if not np.isreal(values).all():
+        raise DomainError(f"{what} must be real")
+    return np.asarray(np.real(values), dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class NumberState:
-    """Complex amplitudes over the flip-number basis n = 0 .. n_max."""
+    """Real amplitudes over the flip-number basis n = 0 .. n_max.  Input
+    with a nonzero imaginary part raises DomainError."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex))
+        amps = np.atleast_1d(_real(self.amplitudes, "amplitudes"))
         if amps.ndim != 1 or amps.size == 0:
             raise DomainError("amplitudes must be a non-empty 1-D vector")
         object.__setattr__(self, "amplitudes", amps)
@@ -108,14 +120,15 @@ class NumberState:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureWavefunction:
-    """Complex amplitudes sampled on a uniform grid in x or p."""
+    """Real amplitudes sampled on a uniform grid in x or p.  Input with a
+    nonzero imaginary part raises DomainError."""
 
     grid: QuadratureGrid
     values: np.ndarray
     basis: Basis
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = _real(self.values, "wavefunction values")
         if vals.shape != (self.grid.count,):
             raise DomainError(
                 f"values length {vals.shape} does not match grid count {self.grid.count}"
@@ -124,7 +137,7 @@ class QuadratureWavefunction:
         object.__setattr__(self, "basis", Basis(self.basis))
 
     def density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
+        return self.values ** 2
 
 
 class RandomSource:
@@ -185,21 +198,9 @@ def _hermite_rows(n_max: int, u: np.ndarray):
 # norms
 
 
-def norm(state: NumberState) -> float:
-    """sqrt(sum |a_n|^2)."""
-    return float(np.linalg.norm(state.amplitudes))
-
-
-def normalize(state: NumberState) -> NumberState:
-    nrm = norm(state)
-    if nrm == 0.0:
-        raise DegenerateStateError("cannot normalize the all-zero state")
-    return NumberState(state.amplitudes / nrm)
-
-
 def riemann_norm(wf: QuadratureWavefunction) -> float:
     """Midpoint-Riemann L2 norm on the wavefunction's grid."""
-    return float(np.sqrt(np.sum(np.abs(wf.values) ** 2) * wf.grid.spacing))
+    return float(np.sqrt(np.sum(wf.density()) * wf.grid.spacing))
 
 
 def riemann_normalize(wf: QuadratureWavefunction) -> QuadratureWavefunction:
@@ -208,7 +209,8 @@ def riemann_normalize(wf: QuadratureWavefunction) -> QuadratureWavefunction:
         raise DegenerateStateError("cannot normalize an all-zero wavefunction")
     if wf.grid.spacing < np.finfo(float).tiny:  # the density would sum to 1/spacing
         raise ResolutionError(f"cannot normalize on a subnormal grid spacing {wf.grid.spacing:.4g}")
-    return QuadratureWavefunction(wf.grid, wf.values / nrm, wf.basis)
+    # + 0.0 writes -0.0 as +0.0, so every zero is printed as "0".
+    return QuadratureWavefunction(wf.grid, (wf.values + 0.0) * (1.0 / nrm), wf.basis)
 
 
 # Relative tolerance of the coverage check of both squeeze and cat.  On
@@ -306,9 +308,6 @@ def grid_for_state(state: NumberState, points_per_wave: int = 16, margin: float 
 # ---------------------------------------------------------------------------
 # basis transforms
 
-# i**n by n mod 4, exact in every component.
-_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
-
 
 def to_quadrature(state: NumberState, grid: QuadratureGrid, basis: Basis) -> QuadratureWavefunction:
     """Expand a number state on a quadrature grid.
@@ -316,10 +315,10 @@ def to_quadrature(state: NumberState, grid: QuadratureGrid, basis: Basis) -> Qua
     P basis: values[k] = sum_n a_n phi_n(p_k).  X basis: the continuous
     Fourier transform of the P representation, which the kernel
     exp(i*x*p)/sqrt(2*pi) maps term by term to
-    values[k] = sum_n a_n i**n phi_n(x_k), so both bases are the same
-    recurrence sum and no transform is evaluated.  The output is *not*
-    renormalized; for states fully covered by the grid the Riemann norm
-    reproduces the number-basis norm.
+    values[k] = sum_n a_n i**n phi_n(x_k), real for an even state, so both
+    bases are the same recurrence sum and no transform is evaluated.  The
+    output is *not* renormalized; for states fully covered by the grid the
+    Riemann norm reproduces the number-basis norm.
     """
     return _expand([(state, basis)], grid)[0]
 
@@ -328,20 +327,24 @@ def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
     """`to_quadrature` of every (state, basis) pair in `pairs` on one grid,
     from a single pass of the recurrence.
 
-    Each pair keeps its own sum, which stops at the pair's own n_eff and
-    adds its terms in the order a single expansion does, so the values
-    are bitwise those of separate passes.  A sum whose coefficients are
-    all real (squeezed and cat states: i**n is +-1 on even n) accumulates
-    in real arithmetic; the complex sum would give the same real parts and
-    an imaginary part of exactly +0.  When every pair has exactly zero
-    coefficients at odd n and the grid is bitwise antisymmetric, the
-    recurrence runs on the upper half of the grid only and each sum is
-    mirrored onto the lower half (see the module's parity note).  Every
-    pair is checked before the pass, and the first one that fails raises.
+    The grid must be symmetric (min == -max) and every state even (exactly
+    zero at odd n), else DomainError.  The recurrence then runs on the
+    upper half of the grid only and each sum is mirrored onto the lower
+    half (see the module's parity note).  Each pair keeps its own sum,
+    which stops at the pair's own n_eff and adds its terms in the order a
+    single expansion does, so the values are bitwise those of separate
+    passes.  Every pair is checked before the pass, and the first one that
+    fails raises.
     """
+    if grid.min != -grid.max:
+        raise DomainError(f"expansion needs a grid symmetric about 0, got "
+                          f"[{grid.min}, {grid.max}]")
+    half = grid.count // 2
     sums = []
     for state, basis in pairs:
         basis = Basis(basis)
+        if np.any(state.amplitudes[1::2]):
+            raise DomainError("expansion needs an even state: a nonzero amplitude at odd n")
         if not np.any(state.amplitudes):
             raise DegenerateStateError("cannot transform the all-zero state")
         n_eff = effective_max_index(state)
@@ -352,33 +355,17 @@ def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
                 f"{np.pi / k_max:.4g} for occupancy n_eff={n_eff}"
             )
         coeffs = state.amplitudes[:n_eff + 1]
-        if basis is Basis.X:
-            coeffs = coeffs * _I_POWERS[np.arange(n_eff + 1) % 4]
-        if not np.any(coeffs.imag):
-            coeffs = coeffs.real
-        sums.append((basis, coeffs))
-    points = grid.points()
-    even = not any(np.any(coeffs[1::2]) for _, coeffs in sums)
-    half = _mirror_half(-points, points) if even else 0
-    sums = [(basis, coeffs, np.zeros(grid.count - half, dtype=coeffs.dtype))
-            for basis, coeffs in sums]
+        if basis is Basis.X:  # i**n = (-1)**(n/2) on even n
+            coeffs = coeffs.copy()
+            coeffs[2::4] *= -1.0
+        sums.append((basis, coeffs, np.zeros(grid.count - half)))
     n_top = max(coeffs.size for _, coeffs, _ in sums) - 1
-    for n, row in enumerate(_hermite_rows(n_top, points[half:])):
+    for n, row in enumerate(_hermite_rows(n_top, grid.points()[half:])):
         for _, coeffs, values in sums:
             if n < coeffs.size and coeffs[n] != 0.0:
                 values += coeffs[n] * row
     return [QuadratureWavefunction(grid, np.concatenate((values[::-1][:half], values)),
                                    basis) for basis, _, values in sums]
-
-
-def _mirror_half(leading: np.ndarray, trailing: np.ndarray) -> int:
-    """How many leading points mirror the trailing ones bit for bit: half
-    the size when leading[k] has the bits of trailing[-1-k] for k < half
-    (so -0.0 differs from +0.0), else 0."""
-    half = leading.size // 2
-    same = np.array_equal(np.ascontiguousarray(leading[:half]).view(np.uint64),
-                          np.ascontiguousarray(trailing[::-1][:half]).view(np.uint64))
-    return half if same else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,159 @@
+"""Byte manifest of the command line's outputs.
+
+For a fixed list of commands (the benchmark batches of
+`perfbench/workloads.py` at seeds 1-5, the README's command-line
+examples, edge cats and `squeeze --xi2 150`) the manifest holds the exit
+code and the SHA-256 of stdout (with the output directory written as
+"<out>"), of stderr and of every file the command writes.  Every command
+runs in-process through `spincat.cli.main`, each into its own empty
+directory.
+
+    python tests/golden/regenerate.py    # rewrite tests/golden/manifest.json
+
+`tests/test_manifest.py` recomputes the manifest and compares it with the
+committed one.  A change that moves output bytes on purpose reruns this
+script and names the entries that changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[2]
+MANIFEST = Path(__file__).resolve().parent / "manifest.json"
+BENCH_SEEDS = range(1, 6)
+
+# Edge cats: lost mass on the default grid and on a +-2 override, an odd
+# grid count (middle point), a subnormal spacing, a coarse grid, mu < 0,
+# improbable outcomes, extreme numbers, a small sampled mu and the large
+# point; plus squeezes on an odd-count override and far past the
+# benchmark's squeezing.
+EDGE_COMMANDS = [
+    "cat --xi2 45.933626852860776 --beta 0.03197871375401286 --pr-over-beta 24.844678751740197",
+    "cat --xi2 20 --beta 0.3333 --pr-over-beta 7 --grid-half-width 2 --grid-count 256",
+    "cat --xi2 20 --beta 0.3333 --pr-over-beta 7 --grid-half-width 14 --grid-count 1025",
+    "cat --xi2 20 --beta 0.3333 --pr-over-beta 7 --grid-half-width 12 --grid-count 128",
+    "cat --xi2 20 --beta 0.3333 --pr 0 --grid-half-width 5e-324 --grid-count 2",
+    "cat --xi2 2 --beta 0.1 --pr 0.05",
+    "cat --xi2 2 --beta 0.1 --pr 150",
+    "cat --xi2 20 --beta 0.3333 --pr 500",
+    "cat --xi2 1.0000000000000002 --beta 1e-15 --pr 1e300",
+    "cat --xi2 1.0000000000000002 --beta 1e300 --sample",
+    "cat --xi2 20 --beta 0.3333 --sample --seed 44",
+    "cat --xi2 200 --beta 0.05 --pr-over-beta 100",
+    "cat --xi2 1.5 --beta 1 --pr-over-beta 3",
+    "squeeze --xi2 20 --grid-half-width 14 --grid-count 2049",
+    "squeeze --xi2 150",
+]
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def readme_commands() -> list[list[str]]:
+    """The README examples that `tests/test_readme.py` runs, without their
+    `--out-dir`."""
+    commands = _load("readme_examples", ROOT / "tests" / "test_readme.py").readme_commands()
+    for argv in commands:
+        if "--out-dir" in argv:
+            at = argv.index("--out-dir")
+            del argv[at:at + 2]
+    return commands
+
+
+def commands() -> dict[str, list[str]]:
+    """Entry name -> argv (without --out-dir), in manifest order."""
+    batches = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py").BATCHES
+    named = {}
+    for workload, batch in batches.items():
+        for seed in BENCH_SEEDS:
+            for i, cmd in enumerate(batch(seed)):
+                named[f"bench/{workload}/seed{seed}/{i:02d}"] = list(cmd.argv)
+    for i, argv in enumerate(readme_commands()):
+        named[f"readme/{i}"] = argv
+    for i, line in enumerate(EDGE_COMMANDS):
+        named[f"edge/{i:02d}"] = line.split()
+    return named
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str], out_dir: str) -> dict:
+    """Exit code and hashes of one in-process command writing into out_dir."""
+    from spincat.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out-dir", out_dir])
+    files = {}
+    if os.path.isdir(out_dir):
+        for name in sorted(os.listdir(out_dir)):
+            files[name] = _sha(Path(out_dir, name).read_bytes())
+    return {"argv": argv, "exit": code,
+            "stdout": _sha(stdout.getvalue().replace(out_dir, "<out>").encode()),
+            "stderr": _sha(stderr.getvalue().replace(out_dir, "<out>").encode()),
+            "files": files}
+
+
+def environment() -> dict:
+    """What the bytes may depend on besides the code."""
+    return {"numpy": np.__version__, "python": platform.python_version(),
+            "platform": f"{platform.system()}-{platform.machine()}"}
+
+
+def compute() -> dict:
+    entries = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for k, (name, argv) in enumerate(commands().items()):
+            entries[name] = run(argv, os.path.join(scratch, f"c{k}"))
+    return {"environment": environment(), "entries": entries}
+
+
+def differences(committed: dict, fresh: dict) -> list[str]:
+    """One line per entry or field of `fresh` that differs from `committed`."""
+    lines = []
+    for name in sorted(set(committed["entries"]) | set(fresh["entries"])):
+        old, new = committed["entries"].get(name), fresh["entries"].get(name)
+        if old is None or new is None:
+            lines.append(f"{name}: {'added' if old is None else 'missing'}")
+            continue
+        for key in ("argv", "exit", "stdout", "stderr"):
+            if old[key] != new[key]:
+                lines.append(f"{name}: {key} differs")
+        for file in sorted(set(old["files"]) | set(new["files"])):
+            if old["files"].get(file) != new["files"].get(file):
+                lines.append(f"{name}: {file} differs")
+    return lines
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))  # the package of this checkout
+    fresh = compute()
+    if MANIFEST.exists():
+        for line in differences(json.loads(MANIFEST.read_text()), fresh):
+            print(line)
+    MANIFEST.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(fresh['entries'])} entries to {MANIFEST.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,22 +1,167 @@
 """Shared test oracles, independent of the library's implementation paths."""
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.stats import norm as normal_dist
 
-from spincat.errors import DomainError
+from spincat.errors import DegenerateStateError, DomainError, ResolutionError
+from spincat.io import _mirror_half
 from spincat.protocol import quadrature_variances
 from spincat.state import (
     Basis,
     NumberState,
-    QuadratureWavefunction,
+    QuadratureGrid,
     _hermite_rows,
     _symmetric_grid,
     _turning_point,
     effective_max_index,
     grid_for_state,
     quadrature_moment,
+    riemann_norm,
     to_quadrature,
 )
+
+
+# ---------------------------------------------------------------------------
+# general states: complex amplitudes of any parity, expanded on any grid.
+# spincat's own states are real and even and its grids symmetric; these
+# copies of the general code it had before keep the identities that do
+# not depend on that (odd n, complex phases, asymmetric grids) under test.
+
+
+@dataclass(frozen=True, eq=False)
+class GeneralState:
+    """Complex amplitudes over n = 0 .. n_max, of any parity."""
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex))
+        if amps.ndim != 1 or amps.size == 0:
+            raise DomainError("amplitudes must be a non-empty 1-D vector")
+        object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def n_max(self) -> int:
+        return self.amplitudes.size - 1
+
+
+@dataclass(frozen=True, eq=False)
+class GeneralWavefunction:
+    """Complex amplitudes sampled on a uniform grid in x or p."""
+
+    grid: QuadratureGrid
+    values: np.ndarray
+    basis: Basis
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=complex)
+        if vals.shape != (self.grid.count,):
+            raise DomainError(
+                f"values length {vals.shape} does not match grid count {self.grid.count}"
+            )
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "basis", Basis(self.basis))
+
+    def density(self) -> np.ndarray:
+        return np.abs(self.values) ** 2
+
+
+def norm(state) -> float:
+    """sqrt(sum |a_n|^2) of a NumberState or GeneralState."""
+    return float(np.linalg.norm(state.amplitudes))
+
+
+def normalize(state):
+    """The state divided by its norm, of the same type."""
+    nrm = norm(state)
+    if nrm == 0.0:
+        raise DegenerateStateError("cannot normalize the all-zero state")
+    return type(state)(state.amplitudes / nrm)
+
+
+def normalized(wf) -> GeneralWavefunction:
+    """A wavefunction divided by its Riemann norm, as a general one."""
+    return GeneralWavefunction(wf.grid, wf.values / riemann_norm(wf), wf.basis)
+
+
+# i**n by n mod 4, exact in every component.
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def general_to_quadrature(state, grid, basis) -> GeneralWavefunction:
+    return general_expand([(state, basis)], grid)[0]
+
+
+def general_expand(pairs, grid) -> list[GeneralWavefunction]:
+    """spincat.state._expand for any states on any grid: coefficients a_n
+    (P) or a_n i**n (X); a sum with all-real coefficients accumulates in
+    real arithmetic; when every pair is zero at odd n and the grid is
+    bitwise antisymmetric the recurrence runs on the upper half only and
+    each sum is mirrored, else on every point."""
+    sums = []
+    for state, basis in pairs:
+        basis = Basis(basis)
+        if not np.any(state.amplitudes):
+            raise DegenerateStateError("cannot transform the all-zero state")
+        n_eff = effective_max_index(state)
+        k_max = _turning_point(n_eff)
+        if grid.spacing > np.pi / k_max:
+            raise ResolutionError(
+                f"grid spacing {grid.spacing:.4g} exceeds the resolution bound "
+                f"{np.pi / k_max:.4g} for occupancy n_eff={n_eff}"
+            )
+        coeffs = np.asarray(state.amplitudes[:n_eff + 1], dtype=complex)
+        if basis is Basis.X:
+            coeffs = coeffs * _I_POWERS[np.arange(n_eff + 1) % 4]
+        if not np.any(coeffs.imag):
+            coeffs = coeffs.real
+        sums.append((basis, coeffs))
+    points = grid.points()
+    even = not any(np.any(coeffs[1::2]) for _, coeffs in sums)
+    half = _mirror_half(-points, points) if even else 0
+    sums = [(basis, coeffs, np.zeros(grid.count - half, dtype=coeffs.dtype))
+            for basis, coeffs in sums]
+    n_top = max(coeffs.size for _, coeffs, _ in sums) - 1
+    for n, row in enumerate(_hermite_rows(n_top, points[half:])):
+        for _, coeffs, values in sums:
+            if n < coeffs.size and coeffs[n] != 0.0:
+                values += coeffs[n] * row
+    return [GeneralWavefunction(grid, np.concatenate((values[::-1][:half], values)), basis)
+            for basis, _, values in sums]
+
+
+def general_apply_number_qnd(state, beta: float, p_R: float) -> GeneralState:
+    """spincat.protocol.apply_number_qnd in complex arithmetic: amplitudes
+    times exp(-(beta*n - p_R)**2/2) relative to the largest weight, divided
+    by their norm (no improbable-outcome check)."""
+    n = np.arange(state.amplitudes.size)
+    expo = -0.5 * (beta * n - p_R) ** 2
+    scaled = state.amplitudes * np.exp(expo - expo.max())
+    return GeneralState(scaled / np.linalg.norm(scaled))
+
+
+def general_quadrature_variances(state) -> tuple[float, float]:
+    """spincat.protocol.quadrature_variances in complex arithmetic:
+    <x^2>, <p^2> = <n> + 1/2 -+ Re<a^2>."""
+    a = state.amplitudes / np.linalg.norm(state.amplitudes)
+    n = np.arange(a.size)
+    mean_n = float(np.sum(n * np.abs(a) ** 2))
+    k = n[:-2]
+    re_a2 = float(np.real(np.sum(np.conj(a[:-2]) * a[2:] * np.sqrt((k + 1.0) * (k + 2.0)))))
+    return mean_n + 0.5 - re_a2, mean_n + 0.5 + re_a2
+
+
+def general_overlap(wf_a, wf_b) -> float:
+    """|Riemann inner product| of two complex wavefunctions."""
+    return float(np.abs(np.sum(np.conj(wf_a.values) * wf_b.values) * wf_a.grid.spacing))
+
+
+def complex_bits(values) -> bytes:
+    """The bytes of `values` as complex128: real values gain an imaginary
+    part of +0, as the general expansion's do."""
+    return np.asarray(values, dtype=complex).tobytes()
 
 
 def midpoint_grid(half: float, count: int) -> tuple[np.ndarray, float]:
@@ -111,7 +256,7 @@ def is_symmetric(grid, rel_tol: float = 1e-12) -> bool:
     return abs(grid.min + grid.max) <= rel_tol * (grid.max - grid.min)
 
 
-def fourier_pair(wf: QuadratureWavefunction) -> QuadratureWavefunction:
+def fourier_pair(wf) -> GeneralWavefunction:
     """Conjugate-basis wavefunction on the same (symmetric) grid.
 
     Both directions use the kernel exp(i*u*v)/sqrt(2 pi), so applying the
@@ -125,7 +270,7 @@ def fourier_pair(wf: QuadratureWavefunction) -> QuadratureWavefunction:
     pts = wf.grid.points()
     values = _continuous_ft(wf.values, pts, wf.grid.spacing, pts)
     flipped = Basis.X if wf.basis is Basis.P else Basis.P
-    return QuadratureWavefunction(wf.grid, values, flipped)
+    return GeneralWavefunction(wf.grid, values, flipped)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from helpers import brute_force_number_qnd, chi_square_vs_mixture, fourier_pair
+from helpers import brute_force_number_qnd, chi_square_vs_mixture, fourier_pair, normalized
 from spincat import (
     Basis,
     CatApproxParams,
@@ -102,10 +102,8 @@ def test_criterion_3_parity_exactness():
     assert ok
 
 
-amplitude_lists = st.lists(
-    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-    min_size=1, max_size=13,
-)
+# Amplitudes are real: the library's states hold no complex phases.
+amplitude_lists = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=13)
 
 _oracle_failures = []
 
@@ -113,7 +111,7 @@ _oracle_failures = []
 @given(amps=amplitude_lists, beta=st.floats(0.0, 3.0), p_r=st.floats(-6.0, 6.0))
 @settings(max_examples=60, deadline=None)
 def _oracle_property(amps, beta, p_r):
-    raw = np.array([re + 1j * im for re, im in amps])
+    raw = np.array(amps)
     assume(np.linalg.norm(raw) > 1e-3)
     state = NumberState(raw / np.linalg.norm(raw))
     # outcomes below the oracle's own double-precision noise floor carry
@@ -147,7 +145,7 @@ def test_criterion_5_fourier_hermite_consistency():
     for mu in (mu_exact, mu_approx):
         grid = default_cat_grid(mu)
         params = CatApproxParams(mu=mu, beta=BETA)
-        via_ft = riemann_normalize(fourier_pair(approx_p_wavefunction(params, grid)))
+        via_ft = normalized(fourier_pair(approx_p_wavefunction(params, grid)))
         direct = approx_x_wavefunction(params, grid)
         worst = max(worst, float(np.max(np.abs(via_ft.values - direct.values))))
     ok = worst < 1e-4

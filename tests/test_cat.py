@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
-from helpers import fourier_pair
+from helpers import GeneralState, fourier_pair, general_to_quadrature, normalized
 from spincat import (
     Basis,
     CatApproxParams,
@@ -99,7 +99,7 @@ def test_approx_x_requires_resolved_fringes():
 
 def test_approx_consistency_under_fourier():
     grid = default_cat_grid(7.0)
-    via_ft = riemann_normalize(fourier_pair(approx_p_wavefunction(FIG_PARAMS, grid)))
+    via_ft = normalized(fourier_pair(approx_p_wavefunction(FIG_PARAMS, grid)))
     direct = approx_x_wavefunction(FIG_PARAMS, grid)
     assert np.max(np.abs(via_ft.values - direct.values)) < 1e-4
 
@@ -197,7 +197,10 @@ def test_overlap_self_and_orthogonal():
     wf = vacuum_wavefunction()
     assert overlap(wf, wf) == pytest.approx(1.0, abs=1e-10)
     grid = wf.grid
-    excited = to_quadrature(NumberState(np.array([0.0, 1.0])), grid, Basis.P)
+    # phi_1 is odd, which only the general expansion takes; its p values
+    # are real.
+    phi_1 = general_to_quadrature(GeneralState(np.array([0.0, 1.0])), grid, Basis.P)
+    excited = QuadratureWavefunction(grid, phi_1.values, Basis.P)
     assert overlap(wf, excited) < 1e-8
 
 

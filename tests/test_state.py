@@ -5,9 +5,16 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite as np_hermite
 
 from helpers import (
+    GeneralState,
+    complex_bits,
     fourier_pair,
+    general_expand,
+    general_to_quadrature,
     hermite_basis,
     is_symmetric,
+    norm,
+    normalize,
+    normalized,
     read_number_state_csv,
     read_wavefunction_csv,
     reference_expansion,
@@ -24,8 +31,6 @@ from spincat import (
     choose_truncation,
     grid_for_state,
     mean_occupation,
-    norm,
-    normalize,
     quadrature_moment,
     riemann_norm,
     riemann_normalize,
@@ -139,24 +144,25 @@ def test_to_quadrature_rejects_zero_state_and_coarse_grid():
 
 
 def test_expand_matches_reference_sums_bitwise():
-    # Real coefficients (squeezed, cat, vacuum) take the real accumulation,
-    # a complex state and the x basis of a real state with odd components
-    # the complex one; n_eff differs from pair to pair.
+    # The general copy of the expansion: real coefficients (squeezed, cat,
+    # vacuum) take the real accumulation, a complex state and the x basis
+    # of a real state with odd components the complex one; n_eff differs
+    # from pair to pair.
     from spincat import apply_number_qnd
 
     rng = np.random.default_rng(11)
     squeezed = squeezed_state_exact(20.0, choose_truncation(20.0, 1.0, 0.0, 1e-10))
     cat = apply_number_qnd(squeezed, 1.0 / 3.0, 7.0 / 3.0)
-    mixed = normalize(NumberState(rng.normal(size=24) + 1j * rng.normal(size=24)))
-    odd_real = normalize(NumberState(rng.normal(size=9)))
+    mixed = normalize(GeneralState(rng.normal(size=24) + 1j * rng.normal(size=24)))
+    odd_real = normalize(GeneralState(rng.normal(size=9)))
     states = (squeezed, mixed, cat, odd_real, vacuum())
     grid = grid_for_state(squeezed)
     pairs = [(state, basis) for state in states for basis in (Basis.X, Basis.P)]
-    wavefunctions = _expand(pairs, grid)
+    wavefunctions = general_expand(pairs, grid)
     assert len(wavefunctions) == len(pairs)
     for (state, basis), wf in zip(pairs, wavefunctions):
         assert wf.basis is basis and wf.grid == grid
-        single = to_quadrature(state, grid, basis).values
+        single = general_to_quadrature(state, grid, basis).values
         assert wf.values.tobytes() == single.tobytes()
         assert wf.values.tobytes() == reference_expansion(state, grid, basis).tobytes()
 
@@ -169,38 +175,42 @@ def even_states():
     rng = np.random.default_rng(5)
     mixed = np.zeros(31, dtype=complex)
     mixed[::2] = rng.normal(size=16) + 1j * rng.normal(size=16)
-    return squeezed, apply_number_qnd(squeezed, 1.0 / 3.0, 7.0 / 3.0), NumberState(mixed)
+    return squeezed, apply_number_qnd(squeezed, 1.0 / 3.0, 7.0 / 3.0), GeneralState(mixed)
 
 
-def assert_expansions_match_reference(states, grid):
+def assert_expansions_match_reference(states, grid, expand):
     pairs = [(state, basis) for state in states for basis in (Basis.P, Basis.X)]
-    for (state, basis), wf in zip(pairs, _expand(pairs, grid)):
-        assert wf.values.tobytes() == reference_expansion(state, grid, basis).tobytes()
+    for (state, basis), wf in zip(pairs, expand(pairs, grid)):
+        assert complex_bits(wf.values) == reference_expansion(state, grid, basis).tobytes()
 
 
 @pytest.mark.parametrize("count", [2048, 2047, 2, 3, 301])
 def test_expand_even_states_on_symmetric_grids_bitwise(count):
-    """The half-grid path: even states on a bitwise antisymmetric grid."""
+    """The half-grid path: even states on a bitwise antisymmetric grid; the
+    complex one through the general copy."""
     if count > 256:
-        grid, states = QuadratureGrid(-12.0, 12.0, count), even_states()
+        grid = QuadratureGrid(-12.0, 12.0, count)
+        squeezed, cat, mixed = even_states()
+        groups = (((squeezed, cat), _expand), ((mixed,), general_expand))
     else:
         grid = QuadratureGrid(-0.4, 0.4, count)
-        states = (vacuum(4), squeezed_state_exact(1.5, 6))
-    assert_expansions_match_reference(states, grid)
-    for wf in _expand([(state, Basis.X) for state in states], grid):
-        assert wf.values.tobytes() == wf.values[::-1].tobytes()
+        groups = (((vacuum(4), squeezed_state_exact(1.5, 6)), _expand),)
+    for states, expand in groups:
+        assert_expansions_match_reference(states, grid, expand)
+        for wf in expand([(state, Basis.X) for state in states], grid):
+            assert wf.values.tobytes() == wf.values[::-1].tobytes()
 
 
 @pytest.mark.parametrize("count", [2048, 2047])
 def test_expand_with_one_odd_coefficient_bitwise(count):
-    """One nonzero odd coefficient in any pair sends every pair down the
-    full-grid path."""
+    """In the general copy, one nonzero odd coefficient in any pair sends
+    every pair down the full-grid path."""
     squeezed, cat, _ = even_states()
     amps = squeezed.amplitudes.copy()
     amps[37] = 1e-3
     grid = QuadratureGrid(-12.0, 12.0, count)
-    assert_expansions_match_reference((cat, NumberState(amps)), grid)
-    odd = _expand([(NumberState(amps), Basis.P)], grid)[0].values
+    assert_expansions_match_reference((cat, GeneralState(amps)), grid, general_expand)
+    odd = general_expand([(GeneralState(amps), Basis.P)], grid)[0].values
     assert odd.tobytes() != odd[::-1].tobytes()
 
 
@@ -208,7 +218,43 @@ def test_expand_with_one_odd_coefficient_bitwise(count):
                                   QuadratureGrid(-12.0, 12.000000000001, 2047),
                                   QuadratureGrid(0.5, 12.0, 1024)])
 def test_expand_even_states_on_asymmetric_grids_bitwise(grid):
-    assert_expansions_match_reference(even_states(), grid)
+    """The general copy's full-grid path."""
+    assert_expansions_match_reference(even_states(), grid, general_expand)
+
+
+def test_states_and_wavefunctions_are_real():
+    grid = QuadratureGrid(-1.0, 1.0, 3)
+    for bad in ([1.0, 1e-300j], [1.0, complex(0.0, np.nan)]):
+        with pytest.raises(DomainError):
+            NumberState(np.array(bad))
+        with pytest.raises(DomainError):
+            QuadratureWavefunction(grid, np.array(bad + [0.5]), Basis.P)
+    # A zero imaginary part, of either sign, is dropped.
+    state = NumberState(np.array([complex(0.5, -0.0), 1.0]))
+    assert state.amplitudes.dtype == np.float64
+    assert state.amplitudes.tolist() == [0.5, 1.0]
+    wf = QuadratureWavefunction(grid, np.array([1.0, 2.0, 1.0], dtype=complex), Basis.X)
+    assert wf.values.dtype == np.float64
+
+
+@pytest.mark.parametrize("basis", [Basis.P, Basis.X])
+def test_expand_refuses_odd_states_and_asymmetric_grids(basis):
+    even = squeezed_state_exact(5.0, 40)
+    amps = even.amplitudes.copy()
+    amps[39] = 1e-300
+    grid = QuadratureGrid(-8.0, 8.0, 64)
+    with pytest.raises(DomainError, match="odd n"):
+        _expand([(even, basis), (NumberState(amps), basis)], grid)
+    with pytest.raises(DomainError, match="odd n"):
+        to_quadrature(NumberState([0.0, 1.0]), grid, basis)
+    for asymmetric in (QuadratureGrid(-8.0, 8.000000000000002, 64),
+                       QuadratureGrid(0.5, 8.0, 64)):
+        with pytest.raises(DomainError, match="symmetric"):
+            _expand([(even, basis)], asymmetric)
+    # -0.0 at odd n is a zero.
+    amps[39] = -0.0
+    assert _expand([(NumberState(amps), basis)], grid)[0].values.tobytes() == \
+        to_quadrature(even, grid, basis).values.tobytes()
 
 
 @pytest.mark.parametrize("bad_first", [True, False])
@@ -245,7 +291,7 @@ def test_fourier_of_gaussian_pair_gives_envelope_times_cosine():
     s = np.sqrt(2.0 * mu)
     values = np.exp(-(p - s) ** 2 * beta ** 2 * mu) + np.exp(-(p + s) ** 2 * beta ** 2 * mu)
     wf = riemann_normalize(QuadratureWavefunction(grid, values.astype(complex), Basis.P))
-    out = riemann_normalize(fourier_pair(wf))
+    out = normalized(fourier_pair(wf))
     x = grid.points()
     expected = np.exp(-x * x / (4.0 * beta ** 2 * mu)) * np.cos(x * s)
     expected = expected / np.sqrt(np.sum(expected ** 2) * grid.spacing)
@@ -271,17 +317,7 @@ def test_fourier_requires_symmetric_grid():
 
 
 # ---------------------------------------------------------------------------
-# norm / normalize
-
-
-def test_norm_and_normalize():
-    assert norm(vacuum(4)) == 1.0
-    doubled = NumberState(2.0 * vacuum(4).amplitudes)
-    assert norm(doubled) == 2.0
-    renorm = normalize(doubled)
-    assert np.array_equal(renorm.amplitudes, vacuum(4).amplitudes)
-    with pytest.raises(DegenerateStateError):
-        normalize(NumberState(np.zeros(3)))
+# norm / normalize (the helpers' copies)
 
 
 def test_norm_of_truncated_squeezed_state():
@@ -349,10 +385,10 @@ def test_basis_consistency_odd_components():
     # the x expansion against the transform it stands for.
     rng = np.random.default_rng(7)
     amps = rng.normal(size=24) + 1j * rng.normal(size=24)
-    state = normalize(NumberState(amps))
+    state = normalize(GeneralState(amps))
     grid = grid_for_state(state)
-    via_x = to_quadrature(state, grid, Basis.X)
-    via_ft = fourier_pair(to_quadrature(state, grid, Basis.P))
+    via_x = general_to_quadrature(state, grid, Basis.X)
+    via_ft = fourier_pair(general_to_quadrature(state, grid, Basis.P))
     assert np.max(np.abs(via_x.values - via_ft.values)) < 1e-10
 
 
