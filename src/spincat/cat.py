@@ -86,7 +86,7 @@ class CatMetrics:
 
 def approx_p_wavefunction(params: CatApproxParams, grid: QuadratureGrid) -> QuadratureWavefunction:
     """Two-Gaussian approximation in p, normalized on the grid; exactly
-    even on symmetric grids by construction."""
+    even, since every grid is symmetric by construction."""
     if params.mu <= 0.0:
         raise NoCatError(f"no cat for mu <= 0 (got mu={params.mu})")
     p = grid.points()

@@ -293,8 +293,7 @@ def _outputs(out_dir: str):
 
 def _output_grid(cfg) -> QuadratureGrid | None:
     if cfg.grid_half_width is not None:
-        return QuadratureGrid(-cfg.grid_half_width, cfg.grid_half_width,
-                              cfg.grid_count)
+        return QuadratureGrid(cfg.grid_half_width, cfg.grid_count)
     return None
 
 

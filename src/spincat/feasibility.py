@@ -7,7 +7,7 @@ Only ratios of gamma and delta enter, so any shared unit works.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -175,7 +175,8 @@ def cat_lifetime(tau_c: float, xi2: float) -> float:
 def evaluate_scenario(params: ExperimentalParams) -> FeasibilityReport:
     """Full chain: detuned optics -> cavity enhancement (if T < 1) ->
     couplings -> every constraint check.  Domain errors carry the name of
-    the failing stage."""
+    the failing stage; a report field that overflows to inf or NaN raises
+    DomainError naming the first such field."""
     kappa_d, theta_d = _stage("detuned_optics", detuned_optics,
                               params.kappa0, params.gamma, params.delta)
 
@@ -208,7 +209,7 @@ def evaluate_scenario(params: ExperimentalParams) -> FeasibilityReport:
     else:
         flag = "unmet"
 
-    return FeasibilityReport(
+    report = FeasibilityReport(
         kappa_detuned=kappa_d,
         theta_detuned=theta_d,
         a_per_atom=a,
@@ -229,6 +230,11 @@ def evaluate_scenario(params: ExperimentalParams) -> FeasibilityReport:
         cavity_applied=cavity,
         inputs=asdict(params),
     )
+    for field in fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise DomainError(f"{field.name} is {value}: the inputs leave the double range")
+    return report
 
 
 def _stage(name, fn, *args):

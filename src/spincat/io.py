@@ -5,9 +5,9 @@ floats their shortest repr, both enough to round-trip doubles.
 
 Values are real, so the im column of every CSV is the constant 0.
 Parity: wavefunction values must be a bitwise palindrome (every even
-state on a symmetric grid), and only the re,abs2 fields of their upper
-half are formatted, and a bitwise antisymmetric grid only its positive
-coordinates; the lower half reuses that text, so the bytes are those of
+state on a grid, all of which are symmetric), and grid points are
+bitwise antisymmetric, so only the upper half of each column is
+formatted; the lower half reuses that text, so the bytes are those of
 formatting every point.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -40,11 +39,21 @@ _JSON_BOOL = ("false", "true")
 def atomic_write_text(path: str, chunks) -> None:
     """Write the concatenation of the str `chunks` (any iterable, consumed
     once) to `path` through a temp file and a rename, so the file appears
-    whole or not at all, also when producing a chunk raises."""
+    whole or not at all, also when producing a chunk raises.  The file
+    gets the mode the umask leaves of 0o666, as any file the process
+    creates (mkstemp's temp file would be 0o600, which the rename keeps)."""
     if isinstance(chunks, str):
         raise TypeError("atomic_write_text takes an iterable of str chunks, not a str")
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    for _ in range(100):  # a random name, drawn again if it is taken
+        tmp = os.path.join(directory, ".tmp-" + os.urandom(6).hex())
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
+    else:
+        raise FileExistsError(f"no unused temporary file name in {directory!r}")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
@@ -61,22 +70,19 @@ def write_number_state_csv(state: NumberState, path: str) -> None:
     atomic_write_text(path, ("n,re,im\n", "".join(rows)))
 
 
-def _mirror_half(leading: np.ndarray, trailing: np.ndarray) -> int:
-    """Half the size when leading[k] has the bits of trailing[-1-k] for
-    every k < half (so -0.0 differs from +0.0), else 0."""
-    half = leading.size // 2
-    return half if leading[:half].tobytes() == trailing[::-1][:half].tobytes() else 0
+def _palindrome_half(values: np.ndarray) -> int:
+    """Half the size when `values` read the same bit for bit in reverse
+    (so -0.0 differs from +0.0), else 0."""
+    half = values.size // 2
+    return half if values[:half].tobytes() == values[::-1][:half].tobytes() else 0
 
 
 def format_coords(grid: QuadratureGrid) -> list[str]:
-    """The formatted coordinate column of a wavefunction CSV on `grid`.  On
-    a bitwise antisymmetric grid whose mirrored upper points are positive,
-    the lower half is the upper half's text behind a "-"."""
-    points = grid.points()
-    half = _mirror_half(-points, points)
-    if half and not points[-half:].min() > 0.0:
-        half = 0
-    upper = [_FIELD % x for x in points[half:].tolist()]
+    """The formatted coordinate column of a wavefunction CSV on `grid`: the
+    lower half is the upper half's text behind a "-", since the points are
+    bitwise antisymmetric (a +0.0 upper point mirrors to -0.0, "-0")."""
+    half = grid.count // 2
+    upper = [_FIELD % x for x in grid.points()[half:].tolist()]
     return ["-" + text for text in upper[::-1][:half]] + upper
 
 
@@ -92,7 +98,7 @@ def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
             f"{len(coords)} coordinates for a grid of {wf.grid.count} points"
         )
     vals = wf.values
-    half = _mirror_half(vals, vals)
+    half = _palindrome_half(vals)
     if not half:
         raise DomainError("wavefunction values are not a bitwise palindrome")
     upper = vals[half:]

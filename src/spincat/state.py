@@ -6,7 +6,8 @@ Conventions used throughout:
 * amplitudes and wavefunction values are real: every state the protocol
   builds has real number-basis coefficients, exactly zero at odd n
   (step 1 makes them so and step 2 multiplies them by a real factor), and
-  on a grid with min == -max its x and p wavefunctions are real and even;
+  on a grid, which is symmetric about 0 by construction, its x and p
+  wavefunctions are real and even;
 * momentum-basis matrix elements are real,
   phi_n(p) = pi**(-1/4) * (2**n n!)**(-1/2) * H_n(p) * exp(-p**2/2),
   evaluated with the normalized three-term recurrence (never via raw
@@ -22,8 +23,8 @@ Conventions used throughout:
 * parity: rounding is symmetric under negation, so the recurrence gives
   phi_n(-u) = (-1)**n phi_n(u) bit for bit up to the sign of a zero,
   which a sum started at +0 never shows; a sum over even n only is
-  therefore evaluated on the upper half of a symmetric grid and
-  mirrored, with the same bits as the full evaluation;
+  therefore evaluated on the upper half of the grid and mirrored, with
+  the same bits as the full evaluation;
 * continuous integrals are midpoint Riemann sums on uniform grids.
 """
 
@@ -67,30 +68,28 @@ def _check_seed(seed) -> int:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Uniform grid of `count` points from `min` to `max` inclusive."""
+    """Uniform grid of `count` points from -half_width to half_width
+    inclusive.  The points are integer offsets about 0 times the spacing,
+    so they are bitwise antisymmetric, points[k] == -points[-1-k], at every
+    spacing (subnormal ones too), and the middle point of an odd count is
+    +0.0."""
 
-    min: float
-    max: float
+    half_width: float
     count: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.min) and np.isfinite(self.max)):
-            raise DomainError("grid endpoints must be finite")
-        if not self.min < self.max:
-            raise DomainError(f"grid requires min < max, got [{self.min}, {self.max}]")
+        if not (np.isfinite(self.half_width) and self.half_width > 0.0):
+            raise DomainError(f"grid requires a finite half_width > 0, got {self.half_width}")
         if self.count < 2:
             raise DomainError(f"grid requires count >= 2, got {self.count}")
 
     @property
     def spacing(self) -> float:
-        return (self.max - self.min) / (self.count - 1)
+        return 2.0 * self.half_width / (self.count - 1)
 
     def points(self) -> np.ndarray:
-        # Built from integer offsets about the center so that symmetric
-        # grids are bitwise antisymmetric: points[k] == -points[-1-k].
-        center = 0.5 * (self.min + self.max)
         offsets = np.arange(self.count, dtype=float) - 0.5 * (self.count - 1)
-        return center + offsets * self.spacing
+        return offsets * self.spacing
 
 
 def _real(values, what: str) -> np.ndarray:
@@ -281,7 +280,7 @@ def _symmetric_grid(half: float, spacing: float, floor: int = 2) -> QuadratureGr
     count = floor
     while count - 1 < 2.0 * half / spacing:
         count *= 2
-    return QuadratureGrid(-half, half, count)
+    return QuadratureGrid(half, count)
 
 
 def default_cat_grid(mu: float, n_eff: int = 0) -> QuadratureGrid:
@@ -327,18 +326,15 @@ def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
     """`to_quadrature` of every (state, basis) pair in `pairs` on one grid,
     from a single pass of the recurrence.
 
-    The grid must be symmetric (min == -max) and every state even (exactly
-    zero at odd n), else DomainError.  The recurrence then runs on the
-    upper half of the grid only and each sum is mirrored onto the lower
-    half (see the module's parity note).  Each pair keeps its own sum,
+    Every state must be even (exactly zero at odd n), else DomainError.
+    The recurrence then runs on the upper half of the grid only and each
+    sum is mirrored onto the lower half (see the module's parity note and
+    `QuadratureGrid`).  Each pair keeps its own sum,
     which stops at the pair's own n_eff and adds its terms in the order a
     single expansion does, so the values are bitwise those of separate
     passes.  Every pair is checked before the pass, and the first one that
     fails raises.
     """
-    if grid.min != -grid.max:
-        raise DomainError(f"expansion needs a grid symmetric about 0, got "
-                          f"[{grid.min}, {grid.max}]")
     half = grid.count // 2
     sums = []
     for state, basis in pairs:

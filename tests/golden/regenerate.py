@@ -2,7 +2,8 @@
 
 For a fixed list of commands (the benchmark batches of
 `perfbench/workloads.py` at seeds 1-5, the README's command-line
-examples, edge cats and `squeeze --xi2 150`) the manifest holds the exit
+examples, edge cats, `squeeze --xi2 150` and feasibility reports that
+overflow) the manifest holds the exit
 code and the SHA-256 of stdout (with the output directory written as
 "<out>"), of stderr and of every file the command writes.  Every command
 runs in-process through `spincat.cli.main`, each into its own empty
@@ -37,8 +38,8 @@ BENCH_SEEDS = range(1, 6)
 # Edge cats: lost mass on the default grid and on a +-2 override, an odd
 # grid count (middle point), a subnormal spacing, a coarse grid, mu < 0,
 # improbable outcomes, extreme numbers, a small sampled mu and the large
-# point; plus squeezes on an odd-count override and far past the
-# benchmark's squeezing.
+# point; squeezes on an odd-count override and far past the benchmark's
+# squeezing; and feasibility reports that overflow to inf or NaN.
 EDGE_COMMANDS = [
     "cat --xi2 45.933626852860776 --beta 0.03197871375401286 --pr-over-beta 24.844678751740197",
     "cat --xi2 20 --beta 0.3333 --pr-over-beta 7 --grid-half-width 2 --grid-count 256",
@@ -55,6 +56,9 @@ EDGE_COMMANDS = [
     "cat --xi2 1.5 --beta 1 --pr-over-beta 3",
     "squeeze --xi2 20 --grid-half-width 14 --grid-count 2049",
     "squeeze --xi2 150",
+    "feasibility --kappa0 1e4 --gamma 1 --delta 100 --n-atoms 400000 --n-photons 1e308",
+    "feasibility --kappa0 1e300 --gamma 1 --delta 10 --n-atoms 1 --n-photons 1e10",
+    "feasibility --kappa0 10 --gamma 1e200 --delta 1e201 --n-atoms 1000 --n-photons 1e6",
 ]
 
 

@@ -6,7 +6,6 @@ import numpy as np
 from scipy.stats import norm as normal_dist
 
 from spincat.errors import DegenerateStateError, DomainError, ResolutionError
-from spincat.io import _mirror_half
 from spincat.protocol import quadrature_variances
 from spincat.state import (
     Basis,
@@ -30,6 +29,33 @@ from spincat.state import (
 # not depend on that (odd n, complex phases, asymmetric grids) under test.
 
 
+@dataclass(frozen=True)
+class GeneralGrid:
+    """Uniform grid of `count` points from `min` to `max` inclusive, which
+    may be asymmetric about 0 (QuadratureGrid is symmetric by type)."""
+
+    min: float
+    max: float
+    count: int
+
+    def __post_init__(self):
+        if not (np.isfinite(self.min) and np.isfinite(self.max)):
+            raise DomainError("grid endpoints must be finite")
+        if not self.min < self.max:
+            raise DomainError(f"grid requires min < max, got [{self.min}, {self.max}]")
+        if self.count < 2:
+            raise DomainError(f"grid requires count >= 2, got {self.count}")
+
+    @property
+    def spacing(self) -> float:
+        return (self.max - self.min) / (self.count - 1)
+
+    def points(self) -> np.ndarray:
+        center = 0.5 * (self.min + self.max)
+        offsets = np.arange(self.count, dtype=float) - 0.5 * (self.count - 1)
+        return center + offsets * self.spacing
+
+
 @dataclass(frozen=True, eq=False)
 class GeneralState:
     """Complex amplitudes over n = 0 .. n_max, of any parity."""
@@ -49,9 +75,10 @@ class GeneralState:
 
 @dataclass(frozen=True, eq=False)
 class GeneralWavefunction:
-    """Complex amplitudes sampled on a uniform grid in x or p."""
+    """Complex amplitudes sampled on a uniform grid (a QuadratureGrid or a
+    GeneralGrid) in x or p."""
 
-    grid: QuadratureGrid
+    grid: QuadratureGrid | GeneralGrid
     values: np.ndarray
     basis: Basis
 
@@ -95,11 +122,12 @@ def general_to_quadrature(state, grid, basis) -> GeneralWavefunction:
 
 
 def general_expand(pairs, grid) -> list[GeneralWavefunction]:
-    """spincat.state._expand for any states on any grid: coefficients a_n
-    (P) or a_n i**n (X); a sum with all-real coefficients accumulates in
-    real arithmetic; when every pair is zero at odd n and the grid is
-    bitwise antisymmetric the recurrence runs on the upper half only and
-    each sum is mirrored, else on every point."""
+    """spincat.state._expand for any states on any grid (a QuadratureGrid
+    or a GeneralGrid): coefficients a_n (P) or a_n i**n (X); a sum with
+    all-real coefficients accumulates in real arithmetic; when every pair
+    is zero at odd n and the grid is bitwise antisymmetric the recurrence
+    runs on the upper half only and each sum is mirrored, else on every
+    point."""
     sums = []
     for state, basis in pairs:
         basis = Basis(basis)
@@ -120,7 +148,9 @@ def general_expand(pairs, grid) -> list[GeneralWavefunction]:
         sums.append((basis, coeffs))
     points = grid.points()
     even = not any(np.any(coeffs[1::2]) for _, coeffs in sums)
-    half = _mirror_half(-points, points) if even else 0
+    half = points.size // 2
+    if not even or (-points[:half]).tobytes() != points[::-1][:half].tobytes():
+        half = 0
     sums = [(basis, coeffs, np.zeros(grid.count - half, dtype=coeffs.dtype))
             for basis, coeffs in sums]
     n_top = max(coeffs.size for _, coeffs, _ in sums) - 1
@@ -253,7 +283,8 @@ def _continuous_ft(values: np.ndarray, pts_in: np.ndarray, spacing: float,
 
 
 def is_symmetric(grid, rel_tol: float = 1e-12) -> bool:
-    return abs(grid.min + grid.max) <= rel_tol * (grid.max - grid.min)
+    low, high = grid.points()[[0, -1]]
+    return abs(low + high) <= rel_tol * (high - low)
 
 
 def fourier_pair(wf) -> GeneralWavefunction:
@@ -264,8 +295,7 @@ def fourier_pair(wf) -> GeneralWavefunction:
     """
     if not is_symmetric(wf.grid):
         raise DomainError(
-            f"fourier_pair requires a grid symmetric about 0, got "
-            f"[{wf.grid.min}, {wf.grid.max}]"
+            f"fourier_pair requires a grid symmetric about 0, got {wf.grid}"
         )
     pts = wf.grid.points()
     values = _continuous_ft(wf.values, pts, wf.grid.spacing, pts)

@@ -40,7 +40,7 @@ FIG_PARAMS = CatApproxParams(mu=7.0, beta=BETA)
 
 
 def vacuum_wavefunction(basis=Basis.P, count=512):
-    grid = QuadratureGrid(-8.0, 8.0, count)
+    grid = QuadratureGrid(8.0, count)
     return to_quadrature(NumberState(np.array([1.0])), grid, basis)
 
 
@@ -94,7 +94,7 @@ def test_approx_x_fringe_period_and_envelope():
 
 def test_approx_x_requires_resolved_fringes():
     with pytest.raises(ResolutionError):
-        approx_x_wavefunction(FIG_PARAMS, QuadratureGrid(-12.0, 12.0, 32))
+        approx_x_wavefunction(FIG_PARAMS, QuadratureGrid(12.0, 32))
 
 
 def test_approx_consistency_under_fourier():
@@ -131,7 +131,7 @@ def test_detect_peaks_requires_p_basis_and_structure():
     with pytest.raises(DomainError):
         detect_peaks(vacuum_wavefunction(basis=Basis.X))
     # monotone ramp has no interior maximum
-    grid = QuadratureGrid(-8.0, 8.0, 256)
+    grid = QuadratureGrid(8.0, 256)
     values = np.exp(-(grid.points() - 12.0) ** 2 / 8.0).astype(complex)
     ramp = riemann_normalize(QuadratureWavefunction(grid, values, Basis.P))
     with pytest.raises(DegenerateStateError):

@@ -484,6 +484,24 @@ def test_feasibility_aggregates_config_errors(tmp_path, capsys):
     assert err.count("config error") == 1
 
 
+@pytest.mark.parametrize("flags, field", [
+    ("--kappa0 1e4 --gamma 1 --delta 100 --n-atoms 400000 --n-photons 1e308", "beta"),
+    ("--kappa0 1e300 --gamma 1 --delta 10 --n-atoms 1 --n-photons 1e10", "xi2_raw"),
+    ("--kappa0 10 --gamma 1e200 --delta 1e201 --n-atoms 1000 --n-photons 1e6",
+     "kappa_detuned"),
+], ids=["beta-inf", "xi2-raw-inf", "nan"])
+def test_feasibility_refuses_a_non_finite_report(tmp_path, capsys, flags, field):
+    """A report field past the double range exits 3, naming the field, and
+    prints and writes no Infinity or NaN."""
+    code, out, err = run_cli(capsys, "feasibility", *flags.split(),
+                             "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert out == ""
+    error = _strict_json(err)
+    assert error["kind"] == "DomainError" and error["error"].startswith(f"{field} is ")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # config files and misc plumbing
 
@@ -686,6 +704,23 @@ def test_directory_at_an_output_name_exits_config(tmp_path, capsys, argv, first)
     assert err.startswith(f"config error: cannot write {str(tmp_path / first)!r}")
     assert "Traceback" not in err
     assert [path.name for path in tmp_path.iterdir()] == [first]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_output_file_modes_follow_the_umask(tmp_path, capsys, umask, mode):
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run_cli(capsys, "cat", "--xi2", "20", "--beta", "0.3333",
+                             "--pr-over-beta", "7", "--out-dir", str(tmp_path))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == ["cat_approx_p.csv", "cat_approx_x.csv", "cat_metrics.json",
+                     "cat_p.csv", "cat_state.csv", "cat_trace.json", "cat_x.csv"]
+    assert {name: (tmp_path / name).stat().st_mode & 0o777 for name in names} == \
+        dict.fromkeys(names, mode)
 
 
 @pytest.mark.parametrize("levels", [["new"], ["new", "deeper", ""], ["kept", "new"]],

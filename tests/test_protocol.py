@@ -290,7 +290,7 @@ def test_parity_premise_of_the_mirrored_expansion(xi2, beta, p_r, odd):
     mu, _ = mu_of_outcome(p_r, beta, xi2)
     assume(mu > 0.0)
     grid = default_cat_grid(mu)
-    grid = QuadratureGrid(grid.min, grid.max, grid.count + odd)
+    grid = QuadratureGrid(grid.half_width, grid.count + odd)
     params = CatApproxParams(mu=mu, beta=beta)
     for wf in (approx_p_wavefunction(params, grid), approx_x_wavefunction(params, grid)):
         assert wf.values.tobytes() == wf.values[::-1].tobytes()

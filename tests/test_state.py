@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite as np_hermite
 
 from helpers import (
+    GeneralGrid,
     GeneralState,
     complex_bits,
     fourier_pair,
@@ -37,7 +38,7 @@ from spincat import (
     squeezed_state_exact,
     to_quadrature,
 )
-from spincat.io import write_number_state_csv, write_wavefunction_csv
+from spincat.io import format_coords, write_number_state_csv, write_wavefunction_csv
 from spincat import default_cat_grid
 from spincat.state import QuadratureWavefunction, _expand, effective_max_index
 
@@ -93,7 +94,7 @@ def test_eigenfunction_budget_and_domain_errors():
 
 def test_orthonormality_riemann():
     half = np.sqrt(2.0 * 61.0) + 8.0
-    grid = QuadratureGrid(-half, half, 2048)
+    grid = QuadratureGrid(half, 2048)
     basis = hermite_basis(60, grid.points())
     gram = basis @ basis.T * grid.spacing
     assert np.max(np.abs(gram - np.eye(61))) < 1e-8
@@ -104,14 +105,14 @@ def test_orthonormality_riemann():
 
 
 def test_vacuum_p_representation_is_gaussian():
-    grid = QuadratureGrid(-8.0, 8.0, 512)
+    grid = QuadratureGrid(8.0, 512)
     wf = to_quadrature(vacuum(), grid, Basis.P)
     expected = np.pi ** -0.25 * np.exp(-grid.points() ** 2 / 2.0)
     assert np.max(np.abs(wf.values - expected)) < 1e-12
 
 
 def test_vacuum_x_representation_is_gaussian():
-    grid = QuadratureGrid(-8.0, 8.0, 512)
+    grid = QuadratureGrid(8.0, 512)
     wf = to_quadrature(vacuum(), grid, Basis.X)
     expected = np.pi ** -0.25 * np.exp(-grid.points() ** 2 / 2.0)
     assert np.max(np.abs(wf.values - expected)) < 1e-8
@@ -121,7 +122,7 @@ def test_squeezed_p_representation_against_quadrature_oracle():
     xi2 = 3.0
     n_max = choose_truncation(xi2, 1.0, 0.0, 1e-10)
     state = squeezed_state_exact(xi2, n_max)
-    grid = QuadratureGrid(-8.0, 8.0, 1024)
+    grid = QuadratureGrid(8.0, 1024)
     wf = to_quadrature(state, grid, Basis.P)
     assert riemann_norm(wf) == pytest.approx(1.0, abs=1e-6)
 
@@ -137,10 +138,10 @@ def test_squeezed_p_representation_against_quadrature_oracle():
 
 def test_to_quadrature_rejects_zero_state_and_coarse_grid():
     with pytest.raises(DegenerateStateError):
-        to_quadrature(NumberState(np.zeros(4)), QuadratureGrid(-8, 8, 64), Basis.P)
+        to_quadrature(NumberState(np.zeros(4)), QuadratureGrid(8, 64), Basis.P)
     state = squeezed_state_exact(20.0, 230)
     with pytest.raises(ResolutionError):
-        to_quadrature(state, QuadratureGrid(-8, 8, 8), Basis.P)
+        to_quadrature(state, QuadratureGrid(8, 8), Basis.P)
 
 
 def test_expand_matches_reference_sums_bitwise():
@@ -189,11 +190,11 @@ def test_expand_even_states_on_symmetric_grids_bitwise(count):
     """The half-grid path: even states on a bitwise antisymmetric grid; the
     complex one through the general copy."""
     if count > 256:
-        grid = QuadratureGrid(-12.0, 12.0, count)
+        grid = QuadratureGrid(12.0, count)
         squeezed, cat, mixed = even_states()
         groups = (((squeezed, cat), _expand), ((mixed,), general_expand))
     else:
-        grid = QuadratureGrid(-0.4, 0.4, count)
+        grid = QuadratureGrid(0.4, count)
         groups = (((vacuum(4), squeezed_state_exact(1.5, 6)), _expand),)
     for states, expand in groups:
         assert_expansions_match_reference(states, grid, expand)
@@ -208,22 +209,22 @@ def test_expand_with_one_odd_coefficient_bitwise(count):
     squeezed, cat, _ = even_states()
     amps = squeezed.amplitudes.copy()
     amps[37] = 1e-3
-    grid = QuadratureGrid(-12.0, 12.0, count)
+    grid = QuadratureGrid(12.0, count)
     assert_expansions_match_reference((cat, GeneralState(amps)), grid, general_expand)
     odd = general_expand([(GeneralState(amps), Basis.P)], grid)[0].values
     assert odd.tobytes() != odd[::-1].tobytes()
 
 
-@pytest.mark.parametrize("grid", [QuadratureGrid(-11.0, 12.0, 2048),
-                                  QuadratureGrid(-12.0, 12.000000000001, 2047),
-                                  QuadratureGrid(0.5, 12.0, 1024)])
+@pytest.mark.parametrize("grid", [GeneralGrid(-11.0, 12.0, 2048),
+                                  GeneralGrid(-12.0, 12.000000000001, 2047),
+                                  GeneralGrid(0.5, 12.0, 1024)])
 def test_expand_even_states_on_asymmetric_grids_bitwise(grid):
     """The general copy's full-grid path."""
     assert_expansions_match_reference(even_states(), grid, general_expand)
 
 
 def test_states_and_wavefunctions_are_real():
-    grid = QuadratureGrid(-1.0, 1.0, 3)
+    grid = QuadratureGrid(1.0, 3)
     for bad in ([1.0, 1e-300j], [1.0, complex(0.0, np.nan)]):
         with pytest.raises(DomainError):
             NumberState(np.array(bad))
@@ -242,15 +243,14 @@ def test_expand_refuses_odd_states_and_asymmetric_grids(basis):
     even = squeezed_state_exact(5.0, 40)
     amps = even.amplitudes.copy()
     amps[39] = 1e-300
-    grid = QuadratureGrid(-8.0, 8.0, 64)
+    grid = QuadratureGrid(8.0, 64)
     with pytest.raises(DomainError, match="odd n"):
         _expand([(even, basis), (NumberState(amps), basis)], grid)
     with pytest.raises(DomainError, match="odd n"):
         to_quadrature(NumberState([0.0, 1.0]), grid, basis)
-    for asymmetric in (QuadratureGrid(-8.0, 8.000000000000002, 64),
-                       QuadratureGrid(0.5, 8.0, 64)):
-        with pytest.raises(DomainError, match="symmetric"):
-            _expand([(even, basis)], asymmetric)
+    # A grid is symmetric by construction: there is no (min, max) form.
+    with pytest.raises(TypeError):
+        QuadratureGrid(-8.0, 8.000000000000002, 64)
     # -0.0 at odd n is a zero.
     amps[39] = -0.0
     assert _expand([(NumberState(amps), basis)], grid)[0].values.tobytes() == \
@@ -259,7 +259,7 @@ def test_expand_refuses_odd_states_and_asymmetric_grids(basis):
 
 @pytest.mark.parametrize("bad_first", [True, False])
 def test_expand_raises_for_any_failing_pair(bad_first):
-    grid = QuadratureGrid(-8.0, 8.0, 64)
+    grid = QuadratureGrid(8.0, 64)
     good = (squeezed_state_exact(5.0, 40), Basis.X)
     for bad, error in (((NumberState(np.zeros(4)), Basis.P), DegenerateStateError),
                        ((squeezed_state_exact(20.0, 230), Basis.P), ResolutionError)):
@@ -274,7 +274,7 @@ def test_expand_raises_for_any_failing_pair(bad_first):
 
 
 def test_fourier_gaussian_self_dual():
-    grid = QuadratureGrid(-10.0, 10.0, 1024)
+    grid = QuadratureGrid(10.0, 1024)
     p = grid.points()
     values = np.pi ** -0.25 * np.exp(-p * p / 2.0)
     wf = QuadratureWavefunction(grid, values.astype(complex), Basis.P)
@@ -286,7 +286,7 @@ def test_fourier_gaussian_self_dual():
 def test_fourier_of_gaussian_pair_gives_envelope_times_cosine():
     # two Gaussians at +-sqrt(14) with exponent beta^2*mu, beta=1/3, mu=7
     mu, beta = 7.0, 1.0 / 3.0
-    grid = QuadratureGrid(-12.0, 12.0, 1024)
+    grid = QuadratureGrid(12.0, 1024)
     p = grid.points()
     s = np.sqrt(2.0 * mu)
     values = np.exp(-(p - s) ** 2 * beta ** 2 * mu) + np.exp(-(p + s) ** 2 * beta ** 2 * mu)
@@ -300,7 +300,7 @@ def test_fourier_of_gaussian_pair_gives_envelope_times_cosine():
 
 def test_double_fourier_is_parity():
     mu, beta = 7.0, 1.0 / 3.0
-    grid = QuadratureGrid(-12.0, 12.0, 1024)
+    grid = QuadratureGrid(12.0, 1024)
     p = grid.points()
     s = np.sqrt(2.0 * mu)
     asym = np.exp(-(p - s) ** 2 * beta ** 2 * mu) + 0.5 * np.exp(-(p + s) ** 2 * beta ** 2 * mu)
@@ -310,7 +310,7 @@ def test_double_fourier_is_parity():
 
 
 def test_fourier_requires_symmetric_grid():
-    grid = QuadratureGrid(-4.0, 8.0, 256)
+    grid = GeneralGrid(-4.0, 8.0, 256)
     wf = QuadratureWavefunction(grid, np.exp(-grid.points() ** 2).astype(complex), Basis.P)
     with pytest.raises(DomainError):
         fourier_pair(wf)
@@ -447,28 +447,44 @@ def swept_squeezed_states():
 def test_grid_sizes_match_the_former_formulas():
     for state in swept_squeezed_states():
         grid = grid_for_state(state)
-        assert (grid.max, grid.count) == oracle_grid_for_state(state)
-        assert grid.min == -grid.max
+        assert (grid.half_width, grid.count) == oracle_grid_for_state(state)
     for mu in SWEEP_MU:
         for n_eff in (0, 7, 40, 230, 1000, 4096):
             grid = default_cat_grid(mu, n_eff)
-            assert (grid.max, grid.count) == oracle_default_cat_grid(mu, n_eff)
-            assert grid.min == -grid.max
+            assert (grid.half_width, grid.count) == oracle_default_cat_grid(mu, n_eff)
 
 
 def test_grid_points_are_antisymmetric():
-    grid = QuadratureGrid(-7.0, 7.0, 258)
+    grid = QuadratureGrid(7.0, 258)
     pts = grid.points()
     assert np.array_equal(pts, -pts[::-1])
     assert is_symmetric(grid)
-    assert not is_symmetric(QuadratureGrid(-1.0, 2.0, 16))
+    assert not is_symmetric(GeneralGrid(-1.0, 2.0, 16))
+
+
+@given(half_width=st.one_of(st.floats(5e-324, 2.2250738585072014e-308),
+                           st.floats(2.2250738585072014e-308, 1e300)),
+       count=st.integers(2, 5000))
+@settings(max_examples=200, deadline=None)
+def test_grid_points_are_bitwise_antisymmetric(half_width, count):
+    """At normal and subnormal spacings alike: the points mirror bit for
+    bit off the middle, the middle of an odd count is +0.0, and the
+    mirrored coordinate text is that of formatting every point."""
+    grid = QuadratureGrid(half_width, count)
+    pts = grid.points()
+    half = count // 2
+    assert (-pts[:half]).tobytes() == pts[::-1][:half].tobytes()
+    if count % 2:
+        assert pts[half] == 0.0 and not np.signbit(pts[half])
+    assert format_coords(grid) == ["%.17g" % x for x in pts]
 
 
 def test_grid_validation():
+    for half_width in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            QuadratureGrid(half_width, 16)
     with pytest.raises(DomainError):
-        QuadratureGrid(1.0, -1.0, 16)
-    with pytest.raises(DomainError):
-        QuadratureGrid(-1.0, 1.0, 1)
+        QuadratureGrid(1.0, 1)
 
 
 def test_random_source_reproducible():
@@ -491,7 +507,7 @@ def test_number_state_csv_round_trip(tmp_path):
 
 
 def test_wavefunction_csv_round_trip(tmp_path):
-    grid = QuadratureGrid(-6.0, 6.0, 128)
+    grid = QuadratureGrid(6.0, 128)
     wf = to_quadrature(vacuum(), grid, Basis.P)
     path = tmp_path / "wf.csv"
     write_wavefunction_csv(wf, str(path))
@@ -502,6 +518,6 @@ def test_wavefunction_csv_round_trip(tmp_path):
 
 
 def test_quadrature_moment_of_vacuum():
-    grid = QuadratureGrid(-8.0, 8.0, 1024)
+    grid = QuadratureGrid(8.0, 1024)
     wf = to_quadrature(vacuum(), grid, Basis.P)
     assert quadrature_moment(wf, order=2) == pytest.approx(0.5, abs=1e-8)
