@@ -3,7 +3,7 @@
 For a fixed list of commands (the benchmark batches of
 `perfbench/workloads.py` at seeds 1-5, the README's command-line
 examples, edge cats, `squeeze --xi2 150` and feasibility reports that
-overflow) the manifest holds the exit
+overflow or that the chain refuses) the manifest holds the exit
 code and the SHA-256 of stdout (with the output directory written as
 "<out>"), of stderr and of every file the command writes.  Every command
 runs in-process through `spincat.cli.main`, each into its own empty
@@ -39,7 +39,9 @@ BENCH_SEEDS = range(1, 6)
 # grid count (middle point), a subnormal spacing, a coarse grid, mu < 0,
 # improbable outcomes, extreme numbers, a small sampled mu and the large
 # point; squeezes on an odd-count override and far past the benchmark's
-# squeezing; and feasibility reports that overflow to inf or NaN.
+# squeezing; feasibility reports that overflow to inf or NaN; and the
+# chain's own refusals: a negative detuning (non-positive coupling), a
+# single-pass rotation not small against T, and an eta that underflows.
 EDGE_COMMANDS = [
     "cat --xi2 45.933626852860776 --beta 0.03197871375401286 --pr-over-beta 24.844678751740197",
     "cat --xi2 20 --beta 0.3333 --pr-over-beta 7 --grid-half-width 2 --grid-count 256",
@@ -59,6 +61,9 @@ EDGE_COMMANDS = [
     "feasibility --kappa0 1e4 --gamma 1 --delta 100 --n-atoms 400000 --n-photons 1e308",
     "feasibility --kappa0 1e300 --gamma 1 --delta 10 --n-atoms 1 --n-photons 1e10",
     "feasibility --kappa0 10 --gamma 1e200 --delta 1e201 --n-atoms 1000 --n-photons 1e6",
+    "feasibility --kappa0 1e4 --gamma 1 --delta -100 --n-atoms 400000 --n-photons 32000",
+    "feasibility --kappa0 10 --gamma 1 --delta 100 --n-atoms 1000 --n-photons 1e8 --transmission 0.05",
+    "feasibility --kappa0 1e-300 --gamma 1 --delta 10 --n-atoms 10000000000 --n-photons 1e-20",
 ]
 
 
