@@ -278,7 +278,7 @@ def compute_cat_metrics(p_wf: QuadratureWavefunction, x_wf: QuadratureWavefuncti
     except (NoFringeError, DegenerateStateError):
         pass
     try:
-        env_std = float(np.sqrt(2.0 * quadrature_moment(x_wf, order=2)))
+        env_std = float(np.sqrt(2.0 * quadrature_moment(x_wf)))
     except DegenerateStateError:
         pass
 

@@ -23,6 +23,9 @@ _DEPTH_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExperimentalParams:
+    """Sample and probe parameters.  `__post_init__` checks every bound on
+    them, once; `evaluate_scenario` relies on it and checks none again."""
+
     kappa0: float            # resonant optical depth (dimensionless)
     gamma: float             # linewidth
     delta: float             # detuning, same unit as gamma, |delta| >= 10 gamma
@@ -80,128 +83,56 @@ class FeasibilityReport:
     inputs: dict
 
 
-def detuned_optics(kappa0: float, gamma: float, delta: float) -> tuple[float, float]:
-    """(kappa_detuned, theta_detuned) = (kappa0 gamma^2 / 4 delta^2,
-    kappa0 gamma / 2 delta)."""
-    if kappa0 <= 0 or gamma <= 0:
-        raise DomainError("kappa0 and gamma must be positive")
-    if abs(delta) < 10.0 * gamma:
-        raise DomainError(
-            f"far-detuned regime requires |delta| >= 10*gamma "
-            f"(got delta={delta}, gamma={gamma})"
-        )
-    kappa_d = kappa0 * gamma * gamma / (4.0 * delta * delta)
+def evaluate_scenario(params: ExperimentalParams) -> FeasibilityReport:
+    """The chain, in one pass over parameters `ExperimentalParams` checked:
+    kappa_detuned = kappa0 gamma^2 / 4 delta^2, theta_detuned =
+    kappa0 gamma / 2 delta; in a cavity (T < 1) each single-pass value v
+    must lie below T/10 and becomes 2 v / T, and the effective depth is
+    2 kappa0 / T (kappa0 in free space); a = theta/N_a, xi2_raw =
+    a^2 N_a N_p / 4, beta = a sqrt(2 N_p), eta = kappa_detuned N_p / N_a;
+    xi2_achieved = min(xi2_raw, sqrt(depth)/2, 1/(1 - polarization)); the
+    cat needs depth >= 4 N_a^(2/3) and xi2 >= N_a^(1/3); coherence is
+    eta <= 1/xi2, the rotation tolerance 1/(xi2 sqrt(N_a)) and the
+    lifetime tau_c / xi2.  DomainError where the chain has no value: a
+    single-pass value not small against T, a non-positive coupling input
+    (delta < 0), 4 delta^2, eta or xi2 underflowing to 0, or a report
+    field past the double range (naming the first such field)."""
+    kappa0, gamma, delta = params.kappa0, params.gamma, params.delta
+    n_atoms, n_photons, transmission = params.n_atoms, params.n_photons, params.transmission
+    denominator = 4.0 * delta * delta
+    if denominator == 0.0:
+        raise DomainError(f"kappa_detuned is undefined: 4*delta**2 underflows to 0 "
+                          f"(delta={delta}), the inputs leave the double range")
+    kappa_d = kappa0 * gamma * gamma / denominator
     theta_d = kappa0 * gamma / (2.0 * delta)
-    return kappa_d, theta_d
 
+    cavity = transmission < 1.0
+    theta_eff, kappa_d_eff, effective = theta_d, kappa_d, kappa0
+    if cavity:
+        for value in (theta_d, kappa_d):
+            if not value < transmission / 10.0:
+                raise DomainError(
+                    f"stage cavity_enhancement: single-pass value {value} is not small against "
+                    f"transmission {transmission} (requires value < T/10 = {transmission / 10.0})")
+        theta_eff, kappa_d_eff, effective = (2.0 * theta_d / transmission,
+                                             2.0 * kappa_d / transmission,
+                                             2.0 * kappa0 / transmission)
 
-def coupling_chain(theta_detuned: float, kappa_detuned: float,
-                   n_atoms: float, n_photons: float) -> tuple[float, float, float, float]:
-    """(a, xi2, beta, eta): per-atom rotation a = theta/N_a, squeezing
-    xi2 = a^2 N_a N_p / 4, number coupling beta = a sqrt(2 N_p), and
-    depumping eta = kappa_detuned N_p / N_a."""
-    if min(theta_detuned, kappa_detuned, n_atoms, n_photons) <= 0:
-        raise DomainError("coupling chain inputs must all be positive")
-    a = theta_detuned / n_atoms
-    xi2 = a * a * n_atoms * n_photons / 4.0
+    if min(theta_eff, kappa_d_eff, n_atoms, n_photons) <= 0:
+        raise DomainError("stage coupling_chain: coupling chain inputs must all be positive")
+    a = theta_eff / n_atoms
+    xi2_raw = a * a * n_atoms * n_photons / 4.0
     beta = a * np.sqrt(2.0 * n_photons)
-    eta = kappa_detuned * n_photons / n_atoms
-    return a, xi2, beta, eta
-
-
-def max_squeezing_depth(kappa0: float) -> float:
-    """Depth-limited squeezing bound sqrt(kappa0)/2."""
-    if kappa0 <= 0:
-        raise DomainError(f"kappa0 must be positive, got {kappa0}")
-    return float(np.sqrt(kappa0) / 2.0)
-
-
-def coherence_ok(eta: float, xi2: float) -> bool:
-    """Depumping must satisfy eta <= 1/xi2."""
+    eta = kappa_d_eff * n_photons / n_atoms
+    xi2_depth = float(np.sqrt(effective) / 2.0)
+    xi2_pol = 1.0 / (1.0 - params.polarization)
+    xi2 = min(xi2_raw, xi2_depth, xi2_pol)
     if eta <= 0 or xi2 <= 0:
         raise DomainError("eta and xi2 must be positive")
-    return eta <= 1.0 / xi2
 
-
-def cat_conditions_experimental(kappa0: float, n_atoms: float,
-                                transmission: float) -> tuple[bool, float]:
-    """(depth_ok, xi2_required): the effective depth (2 kappa0 / T in a
-    cavity, kappa0 in free space) must reach 4 N_a^(2/3), and the cat needs
-    squeezing xi2 >= N_a^(1/3)."""
-    if kappa0 <= 0 or n_atoms <= 0:
-        raise DomainError("kappa0 and n_atoms must be positive")
-    if not 0.0 < transmission <= 1.0:
-        raise DomainError(f"transmission must lie in (0, 1], got {transmission}")
-    effective = 2.0 * kappa0 / transmission if transmission < 1.0 else kappa0
-    threshold = 4.0 * np.cbrt(float(n_atoms)) ** 2
-    depth_ok = effective >= threshold * (1.0 - _DEPTH_REL_TOL)
-    return bool(depth_ok), float(np.cbrt(float(n_atoms)))
-
-
-def cavity_enhancement(value: float, transmission: float) -> float:
-    """Single-pass quantity -> cavity-enhanced 2*value/T; valid only when
-    the single-pass value is much smaller than T (enforced as < T/10)."""
-    if not 0.0 < transmission < 1.0:
-        raise DomainError(f"transmission must lie in (0, 1), got {transmission}")
-    if not value < transmission / 10.0:
-        raise DomainError(
-            f"single-pass value {value} is not small against transmission "
-            f"{transmission} (requires value < T/10 = {transmission / 10.0})"
-        )
-    return 2.0 * value / transmission
-
-
-def polarization_limit(polarization: float) -> float:
-    """Heuristic squeezing cap 1/(1 - polarization)."""
-    if not 0.0 < polarization < 1.0:
-        raise DomainError(f"polarization must lie in (0, 1), got {polarization}")
-    return 1.0 / (1.0 - polarization)
-
-
-def rotation_tolerance(xi2: float, n_atoms: float) -> float:
-    """Required inter-measurement rotation precision 1/(xi2 sqrt(N_a))."""
-    if xi2 <= 0 or n_atoms <= 0:
-        raise DomainError("xi2 and n_atoms must be positive")
-    return 1.0 / (xi2 * np.sqrt(float(n_atoms)))
-
-
-def cat_lifetime(tau_c: float, xi2: float) -> float:
-    """Superposition lifetime tau_c / xi2 (that of the parent squeezed state)."""
-    if tau_c <= 0 or xi2 <= 0:
-        raise DomainError("tau_c and xi2 must be positive")
-    return tau_c / xi2
-
-
-def evaluate_scenario(params: ExperimentalParams) -> FeasibilityReport:
-    """Full chain: detuned optics -> cavity enhancement (if T < 1) ->
-    couplings -> every constraint check.  Domain errors carry the name of
-    the failing stage; a report field that overflows to inf or NaN raises
-    DomainError naming the first such field."""
-    kappa_d, theta_d = _stage("detuned_optics", detuned_optics,
-                              params.kappa0, params.gamma, params.delta)
-
-    cavity = params.transmission < 1.0
-    if cavity:
-        theta_eff = _stage("cavity_enhancement", cavity_enhancement,
-                           theta_d, params.transmission)
-        kappa_d_eff = _stage("cavity_enhancement", cavity_enhancement,
-                             kappa_d, params.transmission)
-        kappa0_eff = 2.0 * params.kappa0 / params.transmission
-    else:
-        theta_eff, kappa_d_eff, kappa0_eff = theta_d, kappa_d, params.kappa0
-
-    a, xi2_raw, beta, eta = _stage("coupling_chain", coupling_chain,
-                                   theta_eff, kappa_d_eff,
-                                   params.n_atoms, params.n_photons)
-
-    xi2_depth = max_squeezing_depth(kappa0_eff)
-    xi2_pol = polarization_limit(params.polarization)
-    xi2_achieved = min(xi2_raw, xi2_depth, xi2_pol)
-
-    depth_ok, xi2_required = cat_conditions_experimental(
-        params.kappa0, params.n_atoms, params.transmission)
-    effective = kappa0_eff
-    threshold = 4.0 * np.cbrt(float(params.n_atoms)) ** 2
+    cbrt_n = np.cbrt(float(n_atoms))
+    threshold = 4.0 * cbrt_n ** 2
+    depth_ok = bool(effective >= threshold * (1.0 - _DEPTH_REL_TOL))
     if depth_ok:
         flag = "met"
     elif effective >= MARGINAL_FRACTION * threshold:
@@ -214,19 +145,19 @@ def evaluate_scenario(params: ExperimentalParams) -> FeasibilityReport:
         theta_detuned=theta_d,
         a_per_atom=a,
         xi2_raw=xi2_raw,
-        xi2_achieved=xi2_achieved,
+        xi2_achieved=xi2,
         beta=beta,
         eta=eta,
         xi2_max_depth=xi2_depth,
         xi2_max_polarization=xi2_pol,
-        xi2_required_cat=xi2_required,
+        xi2_required_cat=float(cbrt_n),
         effective_depth=effective,
         depth_threshold=threshold,
         depth_condition_met=depth_ok,
         depth_flag=flag,
-        coherence_ok=coherence_ok(eta, xi2_achieved),
-        rotation_tolerance=rotation_tolerance(xi2_achieved, params.n_atoms),
-        cat_lifetime=cat_lifetime(params.tau_c, xi2_achieved),
+        coherence_ok=eta <= 1.0 / xi2,
+        rotation_tolerance=1.0 / (xi2 * np.sqrt(float(n_atoms))),
+        cat_lifetime=params.tau_c / xi2,
         cavity_applied=cavity,
         inputs=asdict(params),
     )
@@ -235,13 +166,6 @@ def evaluate_scenario(params: ExperimentalParams) -> FeasibilityReport:
         if isinstance(value, float) and not np.isfinite(value):
             raise DomainError(f"{field.name} is {value}: the inputs leave the double range")
     return report
-
-
-def _stage(name, fn, *args):
-    try:
-        return fn(*args)
-    except DomainError as exc:
-        raise DomainError(f"stage {name}: {exc}") from exc
 
 
 # The two reference scenarios: a free-space cigar-shaped condensate probed

@@ -47,10 +47,6 @@ from .errors import (
 # at n = 800) because the phi_0 seed underflows to 0 past |u| ~ 38.6.
 HERMITE_N_BUDGET = 2000
 
-# Relative amplitude below which a number-basis tail is treated as empty
-# when sizing grids and resolution bounds.
-_OCCUPANCY_CUTOFF = 1e-12
-
 _TRUNCATION_CAP = 4096
 
 
@@ -238,24 +234,25 @@ def _check_coverage(wavefunctions, dx2: float | None = None,
                                   f"off by {miss:.3g} (tolerance {COVERAGE_TOL:g})")
 
 
-def quadrature_moment(wf: QuadratureWavefunction, order: int = 2, center: float = 0.0) -> float:
-    """Riemann estimate of <(coord - center)^order> for the (normalized)
-    probability density |values|^2."""
+def quadrature_moment(wf: QuadratureWavefunction) -> float:
+    """Riemann estimate of the second moment <coord^2> about 0 for the
+    (normalized) probability density |values|^2."""
     pts = wf.grid.points()
     dens = wf.density()
     total = np.sum(dens)
     if total == 0.0:
         raise DegenerateStateError("moment of an all-zero wavefunction")
-    return float(np.sum((pts - center) ** order * dens) / total)
+    return float(np.sum(pts ** 2 * dens) / total)
 
 
-def effective_max_index(state: NumberState, cutoff: float = _OCCUPANCY_CUTOFF) -> int:
-    """Largest n whose amplitude exceeds `cutoff` relative to the peak."""
+def effective_max_index(state: NumberState) -> int:
+    """Largest n whose amplitude exceeds 1e-12 of the peak: the tail below
+    that counts as empty when sizing grids and resolution bounds."""
     mags = np.abs(state.amplitudes)
     peak = mags.max()
     if peak == 0.0:
         raise DegenerateStateError("all-zero state has no occupancy")
-    occupied = np.nonzero(mags > cutoff * peak)[0]
+    occupied = np.nonzero(mags > 1e-12 * peak)[0]
     return int(occupied[-1])
 
 
@@ -296,12 +293,12 @@ def default_cat_grid(mu: float, n_eff: int = 0) -> QuadratureGrid:
                            min(period / 16.0, np.pi / _turning_point(n_eff)))
 
 
-def grid_for_state(state: NumberState, points_per_wave: int = 16, margin: float = 8.0) -> QuadratureGrid:
-    """Symmetric grid wide enough for the classical turning point of the
-    highest occupied level and fine enough for its fastest oscillation."""
+def grid_for_state(state: NumberState) -> QuadratureGrid:
+    """Symmetric grid 8 beyond the classical turning point of the highest
+    occupied level, with 16 points per period of its fastest oscillation."""
     k_max = _turning_point(effective_max_index(state))
     period = 2.0 * np.pi / k_max
-    return _symmetric_grid(k_max + margin, period / points_per_wave, floor=256)
+    return _symmetric_grid(k_max + 8.0, period / 16.0, floor=256)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ BENCH_SEEDS = range(1, 6)
 # point; squeezes on an odd-count override and far past the benchmark's
 # squeezing; feasibility reports that overflow to inf or NaN; and the
 # chain's own refusals: a negative detuning (non-positive coupling), a
-# single-pass rotation not small against T, and an eta that underflows.
+# single-pass rotation not small against T, an eta that underflows, and a
+# 4*delta**2 that underflows to 0.
 EDGE_COMMANDS = [
     "cat --xi2 45.933626852860776 --beta 0.03197871375401286 --pr-over-beta 24.844678751740197",
     "cat --xi2 20 --beta 0.3333 --pr-over-beta 7 --grid-half-width 2 --grid-count 256",
@@ -64,6 +65,7 @@ EDGE_COMMANDS = [
     "feasibility --kappa0 1e4 --gamma 1 --delta -100 --n-atoms 400000 --n-photons 32000",
     "feasibility --kappa0 10 --gamma 1 --delta 100 --n-atoms 1000 --n-photons 1e8 --transmission 0.05",
     "feasibility --kappa0 1e-300 --gamma 1 --delta 10 --n-atoms 10000000000 --n-photons 1e-20",
+    "feasibility --kappa0 1 --gamma 1e-170 --delta 1e-165 --n-atoms 10 --n-photons 10",
 ]
 
 

@@ -313,7 +313,7 @@ def riemann_quadrature_variances(state) -> tuple[float, float]:
     the expanded quadrature densities: p on `grid_for_state`, x on a grid
     of about 8 sigma_x, where the Fock <x^2> sizes the grid only."""
     p_wf = to_quadrature(state, grid_for_state(state), Basis.P)
-    dp2 = quadrature_moment(p_wf, order=2)
+    dp2 = quadrature_moment(p_wf)
 
     x2_est, _ = quadrature_variances(state)
     k_max = _turning_point(effective_max_index(state))
@@ -321,7 +321,7 @@ def riemann_quadrature_variances(state) -> tuple[float, float]:
     x_grid = _symmetric_grid(min(8.0 * sigma_x + 2.0, k_max + 8.0),
                              min(np.pi / (8.0 * k_max), sigma_x / 8.0))
     x_wf = to_quadrature(state, x_grid, Basis.X)
-    dx2 = quadrature_moment(x_wf, order=2)
+    dx2 = quadrature_moment(x_wf)
     return dx2, dp2
 
 

@@ -87,7 +87,7 @@ def test_approx_x_fringe_period_and_envelope():
     period, visibility = fringe_metrics(wf)
     assert period == pytest.approx(2.0 * np.pi / np.sqrt(14.0), rel=0.02)
     assert visibility > 0.99
-    envelope_std = np.sqrt(2.0 * quadrature_moment(wf, order=2))
+    envelope_std = np.sqrt(2.0 * quadrature_moment(wf))
     assert envelope_std == pytest.approx(np.sqrt(2.0) * BETA * np.sqrt(7.0), rel=0.01)
     assert envelope_std == pytest.approx(1.2472, abs=2e-2)
 

@@ -484,21 +484,24 @@ def test_feasibility_aggregates_config_errors(tmp_path, capsys):
     assert err.count("config error") == 1
 
 
-@pytest.mark.parametrize("flags, field", [
-    ("--kappa0 1e4 --gamma 1 --delta 100 --n-atoms 400000 --n-photons 1e308", "beta"),
-    ("--kappa0 1e300 --gamma 1 --delta 10 --n-atoms 1 --n-photons 1e10", "xi2_raw"),
+@pytest.mark.parametrize("flags, prefix", [
+    ("--kappa0 1e4 --gamma 1 --delta 100 --n-atoms 400000 --n-photons 1e308", "beta is inf"),
+    ("--kappa0 1e300 --gamma 1 --delta 10 --n-atoms 1 --n-photons 1e10", "xi2_raw is inf"),
     ("--kappa0 10 --gamma 1e200 --delta 1e201 --n-atoms 1000 --n-photons 1e6",
-     "kappa_detuned"),
-], ids=["beta-inf", "xi2-raw-inf", "nan"])
-def test_feasibility_refuses_a_non_finite_report(tmp_path, capsys, flags, field):
-    """A report field past the double range exits 3, naming the field, and
-    prints and writes no Infinity or NaN."""
+     "kappa_detuned is nan"),
+    ("--kappa0 1 --gamma 1e-170 --delta 1e-165 --n-atoms 10 --n-photons 10",
+     "kappa_detuned is undefined: 4*delta**2 underflows to 0"),
+], ids=["beta-inf", "xi2-raw-inf", "nan", "delta-squared-zero"])
+def test_feasibility_refuses_a_non_finite_report(tmp_path, capsys, flags, prefix):
+    """A report field past the double range, or undefined because
+    4*delta**2 underflows to 0, exits 3, naming the field, and prints and
+    writes no Infinity or NaN."""
     code, out, err = run_cli(capsys, "feasibility", *flags.split(),
                              "--out-dir", str(tmp_path / "out"))
     assert code == 3
     assert out == ""
     error = _strict_json(err)
-    assert error["kind"] == "DomainError" and error["error"].startswith(f"{field} is ")
+    assert error["kind"] == "DomainError" and error["error"].startswith(prefix)
     assert list(tmp_path.iterdir()) == []
 
 

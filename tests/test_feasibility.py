@@ -1,141 +1,195 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spincat.feasibility as feas
 from spincat import (
     DomainError,
     ExperimentalParams,
+    FeasibilityReport,
     PRESETS,
     evaluate_scenario,
-)
-from spincat.feasibility import (
-    cat_conditions_experimental,
-    cat_lifetime,
-    cavity_enhancement,
-    coherence_ok,
-    coupling_chain,
-    detuned_optics,
-    max_squeezing_depth,
-    polarization_limit,
-    rotation_tolerance,
 )
 
 positive = st.floats(1e-6, 1e8)
 
 
+def scenario(kappa0, delta, n_atoms, n_photons, gamma=1.0, **extra):
+    return evaluate_scenario(ExperimentalParams(kappa0=kappa0, gamma=gamma, delta=delta,
+                                                n_atoms=n_atoms, n_photons=n_photons, **extra))
+
+
+FREE = evaluate_scenario(PRESETS["bec-free-space"])
+CAVITY = evaluate_scenario(PRESETS["bec-cavity"])
+
+
+# ---------------------------------------------------------------------------
+# the chain's stages, read off the report
+
+
 def test_detuned_optics_reference():
-    kappa_d, theta_d = detuned_optics(1e4, 1.0, 100.0)
-    assert kappa_d == 0.25
-    assert theta_d == 50.0
+    assert FREE.kappa_detuned == 0.25
+    assert FREE.theta_detuned == 50.0
 
 
 def test_detuned_optics_quadratic_scaling():
-    k1, _ = detuned_optics(123.0, 1.0, 50.0)
-    k2, _ = detuned_optics(123.0, 1.0, 100.0)
+    k1 = scenario(123.0, 50.0, 1000, 1e6).kappa_detuned
+    k2 = scenario(123.0, 100.0, 1000, 1e6).kappa_detuned
     assert k1 / k2 == 4.0
 
 
 @given(kappa0=positive, gamma=st.floats(1e-3, 1e3), ratio=st.floats(10.0, 1e6))
 @settings(max_examples=50, deadline=None)
 def test_detuned_optics_identity(kappa0, gamma, ratio):
-    kappa_d, theta_d = detuned_optics(kappa0, gamma, ratio * gamma)
-    assert theta_d ** 2 / kappa_d == pytest.approx(kappa0, rel=1e-12)
+    report = scenario(kappa0, ratio * gamma, 1000, 1e6, gamma=gamma)
+    assert report.theta_detuned ** 2 / report.kappa_detuned == pytest.approx(kappa0, rel=1e-12)
 
 
 def test_detuned_optics_regime_violation():
-    with pytest.raises(DomainError):
-        detuned_optics(1e4, 1.0, 5.0)
+    with pytest.raises(DomainError, match="far-detuned"):
+        ExperimentalParams(kappa0=1e4, gamma=1.0, delta=5.0, n_atoms=10, n_photons=10.0)
 
 
 def test_coupling_chain_reference():
     # eta = 0.02 at kappa0 = 1e4 gives xi2 = kappa0*eta/4 = 50
-    theta_d, kappa_d = 50.0, 0.25
-    n_atoms, n_photons = 4e5, 32_000.0
-    a, xi2, beta, eta = coupling_chain(theta_d, kappa_d, n_atoms, n_photons)
-    assert a == pytest.approx(1.25e-4, rel=1e-12)
-    assert eta == pytest.approx(0.02, rel=1e-12)
-    kappa0 = theta_d ** 2 / kappa_d
-    assert xi2 == pytest.approx(kappa0 * eta / 4.0, rel=1e-12)
-    assert xi2 == pytest.approx(50.0, rel=1e-12)
+    assert FREE.a_per_atom == pytest.approx(1.25e-4, rel=1e-12)
+    assert FREE.eta == pytest.approx(0.02, rel=1e-12)
+    kappa0 = FREE.theta_detuned ** 2 / FREE.kappa_detuned
+    assert FREE.xi2_raw == pytest.approx(kappa0 * FREE.eta / 4.0, rel=1e-12)
+    assert FREE.xi2_raw == pytest.approx(50.0, rel=1e-12)
 
 
-@given(theta=positive, kappa_d=positive, n_atoms=st.floats(1.0, 1e9),
-       n_photons=st.floats(1.0, 1e12))
+@given(kappa0=positive, gamma=st.floats(1e-3, 1e3), ratio=st.floats(10.0, 1e6),
+       n_atoms=st.integers(1, 10 ** 9), n_photons=st.floats(1.0, 1e12))
 @settings(max_examples=50, deadline=None)
-def test_coupling_chain_identities(theta, kappa_d, n_atoms, n_photons):
-    a, xi2, beta, eta = coupling_chain(theta, kappa_d, n_atoms, n_photons)
+def test_coupling_chain_identities(kappa0, gamma, ratio, n_atoms, n_photons):
+    report = scenario(kappa0, ratio * gamma, n_atoms, n_photons, gamma=gamma)
     # beta^2 N_a = 8 xi2 exactly, from the two definitions
-    assert beta ** 2 * n_atoms == pytest.approx(8.0 * xi2, rel=1e-12)
+    assert report.beta ** 2 * n_atoms == pytest.approx(8.0 * report.xi2_raw, rel=1e-12)
     # xi2 = kappa0 * eta / 4 with kappa0 = theta^2 / kappa_d
-    assert xi2 == pytest.approx((theta ** 2 / kappa_d) * eta / 4.0, rel=1e-12)
+    kappa0_back = report.theta_detuned ** 2 / report.kappa_detuned
+    assert kappa0_back == pytest.approx(kappa0, rel=1e-12)
+    assert report.xi2_raw == pytest.approx(kappa0_back * report.eta / 4.0, rel=1e-12)
 
 
 def test_coupling_chain_photon_number_linearity():
-    base = coupling_chain(50.0, 0.25, 4e5, 1e4)
-    double = coupling_chain(50.0, 0.25, 4e5, 2e4)
-    assert double[1] / base[1] == 2.0  # xi2
-    assert double[3] / base[3] == 2.0  # eta
+    base = scenario(1e4, 100.0, 400_000, 1e4)
+    double = scenario(1e4, 100.0, 400_000, 2e4)
+    assert double.xi2_raw / base.xi2_raw == 2.0
+    assert double.eta / base.eta == 2.0
 
 
 def test_max_squeezing_depth():
-    assert max_squeezing_depth(1e4) == 50.0
-    assert max_squeezing_depth(4.0) == 1.0
-    assert max_squeezing_depth(400.0) == 10.0
+    assert FREE.xi2_max_depth == 50.0
+    assert scenario(4.0, 100.0, 1000, 1e6).xi2_max_depth == 1.0
+    assert scenario(400.0, 100.0, 1000, 1e6).xi2_max_depth == 10.0
 
 
 def test_coherence_ok():
-    assert coherence_ok(0.01, 50.0) is True
-    assert coherence_ok(0.05, 50.0) is False
-    assert coherence_ok(0.9, 1.0) is True
+    for kappa0, delta, n_atoms, n_photons, expected in [
+        (1e4, 100.0, 400_000, 16_000.0, True),   # eta 0.01, xi2 25
+        (1e4, 100.0, 400_000, 64_000.0, False),  # eta 0.04, xi2 capped at 50
+        (4.0, 10.0, 1000, 9e4, True),            # eta 0.9, xi2 0.9
+    ]:
+        report = scenario(kappa0, delta, n_atoms, n_photons)
+        assert report.coherence_ok is expected
+        assert expected == (report.eta <= 1.0 / report.xi2_achieved)
 
 
 def test_cat_conditions_experimental_free_space():
-    depth_ok, xi2_required = cat_conditions_experimental(1e4, 4e5, 1.0)
-    assert depth_ok is False
-    assert xi2_required == pytest.approx(np.cbrt(4e5), rel=1e-12)
-    assert 4.0 * np.cbrt(4e5) ** 2 == pytest.approx(21715.34, abs=0.01)
+    assert FREE.depth_condition_met is False
+    assert FREE.xi2_required_cat == pytest.approx(np.cbrt(4e5), rel=1e-12)
+    assert FREE.depth_threshold == pytest.approx(21715.34, abs=0.01)
 
 
 def test_cat_conditions_experimental_cavity_boundary():
-    depth_ok, xi2_required = cat_conditions_experimental(10.0, 1e3, 0.05)
-    assert depth_ok is True
-    assert xi2_required == 10.0
+    assert CAVITY.depth_condition_met is True
+    assert CAVITY.xi2_required_cat == 10.0
 
 
 def test_cat_conditions_experimental_single_atom_scale():
-    depth_ok, xi2_required = cat_conditions_experimental(4.0, 1, 1.0)
-    assert xi2_required == 1.0
-    assert depth_ok is True
-    assert cat_conditions_experimental(3.9, 1, 1.0)[0] is False
+    report = scenario(4.0, 100.0, 1, 1e6)
+    assert report.xi2_required_cat == 1.0
+    assert report.depth_condition_met is True
+    assert scenario(3.9, 100.0, 1, 1e6).depth_condition_met is False
 
 
 def test_cavity_enhancement():
-    assert cavity_enhancement(0.001, 0.05) == pytest.approx(0.04, rel=1e-12)
-    assert cavity_enhancement(0.001, 1.0 - 1e-12) == pytest.approx(0.002, rel=1e-9)
-    with pytest.raises(DomainError):
-        cavity_enhancement(0.02, 0.05)
-    with pytest.raises(DomainError):
-        cavity_enhancement(0.001, 1.0)
+    # theta_detuned = 0.001 at kappa0 = 0.2, delta = 100
+    enhanced = scenario(0.2, 100.0, 1, 1e6, transmission=0.05)
+    assert enhanced.a_per_atom == pytest.approx(0.04, rel=1e-12)
+    assert enhanced.effective_depth == pytest.approx(8.0, rel=1e-12)
+    nearly_open = scenario(0.2, 100.0, 1, 1e6, transmission=1.0 - 1e-12)
+    assert nearly_open.a_per_atom == pytest.approx(0.002, rel=1e-9)
+    assert nearly_open.cavity_applied is True
+    with pytest.raises(DomainError, match="not small against transmission"):
+        scenario(4.0, 100.0, 1, 1e6, transmission=0.05)  # theta_detuned 0.02
+    free = scenario(0.2, 100.0, 1, 1e6, transmission=1.0)
+    assert free.a_per_atom == free.theta_detuned and free.cavity_applied is False
 
 
 def test_polarization_limit():
-    assert polarization_limit(0.99) == pytest.approx(100.0, rel=1e-12)
-    assert polarization_limit(0.5) == pytest.approx(2.0, rel=1e-12)
-    assert polarization_limit(0.9999) == pytest.approx(1e4, rel=1e-10)
+    def limit(polarization):
+        return scenario(1e4, 100.0, 1000, 1e6, polarization=polarization).xi2_max_polarization
+
+    assert limit(0.99) == pytest.approx(100.0, rel=1e-12)
+    assert limit(0.5) == pytest.approx(2.0, rel=1e-12)
+    assert limit(0.9999) == pytest.approx(1e4, rel=1e-10)
 
 
 def test_rotation_tolerance():
-    assert rotation_tolerance(50.0, 4e5) == pytest.approx(3.1623e-5, rel=1e-4)
-    assert rotation_tolerance(10.0, 1e3) == pytest.approx(3.1623e-3, rel=1e-4)
-    assert rotation_tolerance(1.0, 1.0) == 1.0
+    assert FREE.rotation_tolerance == pytest.approx(3.1623e-5, rel=1e-4)   # xi2 50
+    assert CAVITY.rotation_tolerance == pytest.approx(3.1623e-3, rel=1e-4)  # xi2 10
+    assert scenario(4.0, 100.0, 1, 1e6).rotation_tolerance == 1.0          # xi2 1
 
 
 def test_cat_lifetime():
-    assert cat_lifetime(0.1, 50.0) == pytest.approx(2e-3, rel=1e-12)
-    assert cat_lifetime(0.1, 10.0) == pytest.approx(1e-2, rel=1e-12)
-    assert cat_lifetime(0.7, 1.0) == 0.7
+    assert FREE.cat_lifetime == pytest.approx(2e-3, rel=1e-12)
+    assert CAVITY.cat_lifetime == pytest.approx(1e-2, rel=1e-12)
+    assert scenario(4.0, 100.0, 1, 1e6, tau_c=0.7).cat_lifetime == 0.7
+
+
+@given(kappa0_over_limit=st.floats(1e-6, 0.99), ratio=st.floats(10.0, 1e4),
+       gamma=st.floats(1e-3, 1e3), n_atoms=st.integers(1, 10 ** 9),
+       n_photons=st.floats(1.0, 1e12), transmission=st.one_of(st.just(1.0), st.floats(1e-3, 0.999)),
+       polarization=st.floats(0.01, 0.9999), tau_c=st.floats(1e-3, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_report_fields_match_their_closed_forms(kappa0_over_limit, ratio, gamma, n_atoms,
+                                                n_photons, transmission, polarization, tau_c):
+    # kappa0 sits below the cavity's small-signal limit 2 ratio T/10 on theta
+    kappa0 = kappa0_over_limit * 2.0 * ratio * transmission / 10.0
+    delta = ratio * gamma
+    report = scenario(kappa0, delta, n_atoms, n_photons, gamma=gamma, transmission=transmission,
+                      polarization=polarization, tau_c=tau_c)
+    cavity = transmission < 1.0
+    gain = 2.0 / transmission if cavity else 1.0
+    kappa_d = kappa0 * (gamma / delta) ** 2 / 4.0
+    theta = kappa0 * (gamma / delta) / 2.0
+    a = gain * theta / n_atoms
+    xi2_raw = gain ** 2 * theta ** 2 * n_photons / (4.0 * n_atoms)
+    depth = gain * kappa0
+    xi2 = min(xi2_raw, np.sqrt(depth) / 2.0, 1.0 / (1.0 - polarization))
+    expected = {
+        "kappa_detuned": kappa_d, "theta_detuned": theta, "a_per_atom": a,
+        "xi2_raw": xi2_raw, "xi2_achieved": xi2, "beta": a * np.sqrt(2.0 * n_photons),
+        "eta": gain * kappa_d * n_photons / n_atoms,
+        "xi2_max_depth": np.sqrt(depth) / 2.0,
+        "xi2_max_polarization": 1.0 / (1.0 - polarization),
+        "xi2_required_cat": n_atoms ** (1.0 / 3.0),
+        "effective_depth": depth, "depth_threshold": 4.0 * n_atoms ** (2.0 / 3.0),
+        "rotation_tolerance": 1.0 / (xi2 * np.sqrt(n_atoms)),
+        "cat_lifetime": tau_c / xi2,
+    }
+    floats = {f.name for f in fields(FeasibilityReport) if f.type == "float"}
+    assert floats == set(expected)
+    for name, value in expected.items():
+        assert getattr(report, name) == pytest.approx(value, rel=1e-10), name
+    assert report.cavity_applied is cavity
+    assert report.coherence_ok == (report.eta <= 1.0 / report.xi2_achieved)
+    assert report.depth_condition_met == (
+        report.effective_depth >= report.depth_threshold * (1.0 - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +219,12 @@ def test_cavity_preset_report():
     assert report.coherence_ok is True
 
 
-def test_free_space_never_calls_cavity_enhancement(monkeypatch):
-    def boom(*args):
-        raise AssertionError("cavity enhancement applied in free space")
-
-    monkeypatch.setattr(feas, "cavity_enhancement", boom)
-    report = feas.evaluate_scenario(PRESETS["bec-free-space"])
-    assert report.cavity_applied is False
-    with pytest.raises(AssertionError):
-        feas.evaluate_scenario(PRESETS["bec-cavity"])
+def test_free_space_never_calls_cavity_enhancement():
+    free, cavity = PRESETS["bec-free-space"], PRESETS["bec-cavity"]
+    assert FREE.cavity_applied is False
+    assert FREE.a_per_atom == FREE.theta_detuned / free.n_atoms
+    assert CAVITY.cavity_applied is True
+    assert CAVITY.a_per_atom == 2.0 * CAVITY.theta_detuned / cavity.transmission / cavity.n_atoms
 
 
 def test_stage_name_propagates():
@@ -198,13 +249,17 @@ def test_xi2_achieved_monotone_in_depth_and_photons():
 
 
 def test_rotation_tolerance_monotone():
-    grid = (1.0, 10.0, 100.0)
-    for n_atoms in grid:
-        tols = [rotation_tolerance(x, n_atoms) for x in grid]
-        assert all(b < a for a, b in zip(tols, tols[1:]))
-    for xi2 in grid:
-        tols = [rotation_tolerance(xi2, n) for n in grid]
-        assert all(b < a for a, b in zip(tols, tols[1:]))
+    # rising xi2 (0.625, 6.25, then the depth cap 50) at fixed N_a
+    reports = [scenario(1e4, 100.0, 1000, n_photons) for n_photons in (1.0, 10.0, 100.0)]
+    xi2s = [r.xi2_achieved for r in reports]
+    tols = [r.rotation_tolerance for r in reports]
+    assert all(b > a for a, b in zip(xi2s, xi2s[1:]))
+    assert all(b < a for a, b in zip(tols, tols[1:]))
+    # rising N_a at xi2 held by the depth cap at 10
+    reports = [scenario(400.0, 100.0, n_atoms, 1e6) for n_atoms in (1, 10, 100)]
+    assert all(r.xi2_achieved == 10.0 for r in reports)
+    tols = [r.rotation_tolerance for r in reports]
+    assert all(b < a for a, b in zip(tols, tols[1:]))
 
 
 def test_combined_condition_implied_by_depth_derivation():
@@ -213,8 +268,8 @@ def test_combined_condition_implied_by_depth_derivation():
     for n_atoms in np.logspace(2, 6, 5):
         for kappa0 in np.logspace(1, 5, 5):
             for n_photons in np.logspace(3, 9, 7):
-                kappa_d, theta_d = detuned_optics(kappa0, 1.0, 1e3)
-                _, xi2, beta, _ = coupling_chain(theta_d, kappa_d, n_atoms, n_photons)
+                report = scenario(float(kappa0), 1e3, float(n_atoms), float(n_photons))
+                xi2, beta = report.xi2_raw, report.beta
                 if xi2 >= np.cbrt(n_atoms):
                     assert beta * xi2 >= 2.0 * np.sqrt(2.0) * (1.0 - 1e-9)
                     assert beta * xi2 > 1.0

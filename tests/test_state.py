@@ -520,4 +520,4 @@ def test_wavefunction_csv_round_trip(tmp_path):
 def test_quadrature_moment_of_vacuum():
     grid = QuadratureGrid(8.0, 1024)
     wf = to_quadrature(vacuum(), grid, Basis.P)
-    assert quadrature_moment(wf, order=2) == pytest.approx(0.5, abs=1e-8)
+    assert quadrature_moment(wf) == pytest.approx(0.5, abs=1e-8)
