@@ -42,7 +42,9 @@ BENCH_SEEDS = range(1, 6)
 # squeezing; feasibility reports that overflow to inf or NaN; and the
 # chain's own refusals: a negative detuning (non-positive coupling), a
 # single-pass rotation not small against T, an eta that underflows, and a
-# 4*delta**2 that underflows to 0.
+# 4*delta**2 that underflows to 0; and the seeding edges of the outcome
+# streams: sampled cats at the largest and the smallest 64-bit seed, a
+# trajectory run whose second block holds one record, and one at seed 0.
 EDGE_COMMANDS = [
     "cat --xi2 45.933626852860776 --beta 0.03197871375401286 --pr-over-beta 24.844678751740197",
     "cat --xi2 20 --beta 0.3333 --pr-over-beta 7 --grid-half-width 2 --grid-count 256",
@@ -66,6 +68,10 @@ EDGE_COMMANDS = [
     "feasibility --kappa0 10 --gamma 1 --delta 100 --n-atoms 1000 --n-photons 1e8 --transmission 0.05",
     "feasibility --kappa0 1e-300 --gamma 1 --delta 10 --n-atoms 10000000000 --n-photons 1e-20",
     "feasibility --kappa0 1 --gamma 1e-170 --delta 1e-165 --n-atoms 10 --n-photons 10",
+    "cat --xi2 20 --beta 0.3333 --sample --seed 18446744073709551615",
+    "cat --xi2 20 --beta 0.3333 --sample --seed 0",
+    "trajectories --xi2 20 --beta 0.3333 --count 8193 --seed 18446744073709551615",
+    "trajectories --xi2 1.5 --beta 2 --count 3 --seed 0",
 ]
 
 
