@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Compare sampled second-step outcomes against the analytic mixture.
 
-Draws outcomes from the exact two-stage array sampler, bins them, and prints
-observed versus expected counts plus the chi-square statistic.
+Draws `--count` outcomes p_R in one block from the exact two-stage sampler
+`sample_second_outcome` on `RandomSource(--seed)`, bins them, and prints
+observed versus expected counts plus the chi-square statistic.  Only p_R
+is drawn; earlier versions drew a block of p_P first from the same
+stream, so a given seed prints a different table than it did there.
 """
 
 import argparse
@@ -11,9 +14,9 @@ import numpy as np
 from scipy.stats import chi2, norm
 
 from spincat import (
-    alpha_from_xi2,
+    RandomSource,
     choose_truncation,
-    outcome_sampler,
+    sample_second_outcome,
     squeezed_state_exact,
 )
 
@@ -29,8 +32,7 @@ def main():
 
     state = squeezed_state_exact(
         args.xi2, choose_truncation(args.xi2, args.beta, 0.0, 1e-10))
-    draw = outcome_sampler(alpha_from_xi2(args.xi2), state, args.beta)
-    _, draws = draw(np.random.default_rng(args.seed), args.count)
+    draws = sample_second_outcome(state, args.beta, RandomSource(args.seed), args.count)
 
     lo, hi = np.quantile(draws, [0.001, 0.999])
     edges = np.concatenate(([-np.inf], np.linspace(lo, hi, args.bins - 1), [np.inf]))

@@ -34,7 +34,6 @@ from .protocol import (
     apply_number_qnd,
     mu_of_outcome,
     outcome_density_second,
-    outcome_sampler,
     quadrature_variances,
     sample_first_outcome,
     sample_second_outcome,

@@ -27,7 +27,6 @@ from .feasibility import PRESETS, ExperimentalParams, evaluate_scenario
 from .protocol import (
     alpha_from_xi2,
     mu_of_outcome,
-    outcome_sampler,
     quadrature_variances,
     sample_first_outcome,
     sample_second_outcome,
@@ -375,11 +374,12 @@ def run_cat(cfg: argparse.Namespace) -> dict:
 
 def run_trajectories(cfg: argparse.Namespace) -> dict:
     """Trajectory i takes position i % TRAJECTORY_BLOCK of the block drawn
-    from default_rng([seed, i // TRAJECTORY_BLOCK]); every block is drawn
-    whole, so record i depends on the seed and i only."""
+    from RandomSource.for_trajectory(seed, i // TRAJECTORY_BLOCK): all its
+    p_P, then all its p_R.  Every block is drawn whole, so record i depends
+    on the seed and i only."""
     alpha = alpha_from_xi2(cfg.xi2)
     n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0, cfg.tail_tol)
-    draw = outcome_sampler(alpha, squeezed_state_exact(cfg.xi2, n_max), cfg.beta)
+    state = squeezed_state_exact(cfg.xi2, n_max)
 
     p_r_values = np.empty(cfg.count)
     resolvable_counts = []
@@ -388,8 +388,9 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
     def blocks():
         for start in range(0, cfg.count, TRAJECTORY_BLOCK):
             size = min(TRAJECTORY_BLOCK, cfg.count - start)
-            generator = np.random.default_rng([cfg.seed, start // TRAJECTORY_BLOCK])
-            p_p, p_r = (a[:size] for a in draw(generator, TRAJECTORY_BLOCK))
+            rng = RandomSource.for_trajectory(cfg.seed, start // TRAJECTORY_BLOCK)
+            p_p = sample_first_outcome(alpha, rng, TRAJECTORY_BLOCK)[:size]
+            p_r = sample_second_outcome(state, cfg.beta, rng, TRAJECTORY_BLOCK)[:size]
             mu_exact, mu_approx = mu_of_outcome(p_r, cfg.beta, cfg.xi2)
             resolvable, reachable, combined = check_cat_conditions(
                 mu_exact, cfg.beta, cfg.xi2)

@@ -28,7 +28,7 @@ class ExperimentalParams:
 
     kappa0: float            # resonant optical depth (dimensionless)
     gamma: float             # linewidth
-    delta: float             # detuning, same unit as gamma, |delta| >= 10 gamma
+    delta: float             # detuning, same unit as gamma, delta >= 10 gamma
     n_atoms: int
     n_photons: float
     transmission: float = 1.0    # cavity T; 1 = free space
@@ -41,9 +41,9 @@ class ExperimentalParams:
             problems.append(f"kappa0 must be positive (got {self.kappa0})")
         if not self.gamma > 0:
             problems.append(f"gamma must be positive (got {self.gamma})")
-        if abs(self.delta) < 10.0 * self.gamma:
+        if not self.delta >= 10.0 * self.gamma:
             problems.append(
-                f"far-detuned regime requires |delta| >= 10*gamma "
+                f"delta must satisfy the far-detuned bound delta >= 10*gamma "
                 f"(got delta={self.delta}, gamma={self.gamma})"
             )
         if not self.n_atoms >= 1:
@@ -94,9 +94,9 @@ def evaluate_scenario(params: ExperimentalParams) -> FeasibilityReport:
     cat needs depth >= 4 N_a^(2/3) and xi2 >= N_a^(1/3); coherence is
     eta <= 1/xi2, the rotation tolerance 1/(xi2 sqrt(N_a)) and the
     lifetime tau_c / xi2.  DomainError where the chain has no value: a
-    single-pass value not small against T, a non-positive coupling input
-    (delta < 0), 4 delta^2, eta or xi2 underflowing to 0, or a report
-    field past the double range (naming the first such field)."""
+    single-pass value not small against T, 4 delta^2, eta or xi2
+    underflowing to 0, or a report field past the double range (naming
+    the first such field)."""
     kappa0, gamma, delta = params.kappa0, params.gamma, params.delta
     n_atoms, n_photons, transmission = params.n_atoms, params.n_photons, params.transmission
     denominator = 4.0 * delta * delta
@@ -112,14 +112,12 @@ def evaluate_scenario(params: ExperimentalParams) -> FeasibilityReport:
         for value in (theta_d, kappa_d):
             if not value < transmission / 10.0:
                 raise DomainError(
-                    f"stage cavity_enhancement: single-pass value {value} is not small against "
+                    f"single-pass value {value} is not small against "
                     f"transmission {transmission} (requires value < T/10 = {transmission / 10.0})")
         theta_eff, kappa_d_eff, effective = (2.0 * theta_d / transmission,
                                              2.0 * kappa_d / transmission,
                                              2.0 * kappa0 / transmission)
 
-    if min(theta_eff, kappa_d_eff, n_atoms, n_photons) <= 0:
-        raise DomainError("stage coupling_chain: coupling chain inputs must all be positive")
     a = theta_eff / n_atoms
     xi2_raw = a * a * n_atoms * n_photons / 4.0
     beta = a * np.sqrt(2.0 * n_photons)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ImprobableOutcomeError
-from .state import NumberState, RandomSource
+from .state import NumberState
 
 _LOG_IMPROBABLE = math.log(1e-300)
 
@@ -109,10 +109,11 @@ def _check_even_truncation(n_max: int) -> None:
         raise DomainError(f"n_max must be a non-negative even integer, got {n_max}")
 
 
-def sample_first_outcome(alpha: float, rng: RandomSource) -> float:
-    """Marginal outcome law of the first step: p_P ~ N(0, (1+alpha**2)/2)."""
+def sample_first_outcome(alpha: float, rng: np.random.Generator, size: int | None = None):
+    """Marginal outcome law of the first step: p_P ~ N(0, (1+alpha**2)/2).
+    One float when size is None, else an array of `size` draws."""
     scale = np.sqrt((1.0 + alpha * alpha) / 2.0)
-    return rng.normal(0.0, scale)
+    return rng.normal(0.0, scale, size)
 
 
 def apply_number_qnd(state: NumberState, beta: float, p_R: float) -> NumberState:
@@ -166,38 +167,18 @@ def outcome_density_second(state: NumberState, beta: float):
     return density
 
 
-def sample_second_outcome(state: NumberState, beta: float, rng: RandomSource) -> float:
+def sample_second_outcome(state: NumberState, beta: float, rng: np.random.Generator,
+                          size: int | None = None):
     """Exact two-stage sampling: n with probability |c_n|**2, then
-    p_R ~ N(beta*n, 1/2)."""
-    weights = np.abs(state.amplitudes) ** 2
-    cum = np.cumsum(weights)
-    cum /= cum[-1]
-    idx = int(np.searchsorted(cum, rng.uniform(), side="right"))
-    idx = min(idx, state.n_max)
-    return rng.normal(beta * idx, np.sqrt(0.5))
-
-
-def outcome_sampler(alpha: float, state: NumberState, beta: float):
-    """Array sampler of both outcome laws: p_P ~ N(0, (1+alpha**2)/2) as in
-    `sample_first_outcome`, and p_R by `sample_second_outcome`'s two stages
-    on the normalized `state`.  The outcome CDF over n is built once;
-    returns draw(generator, size) -> (p_P, p_R), which takes `size` p_P
-    normals, then `size` uniforms for n, then `size` p_R normals from the
-    numpy Generator."""
+    p_R ~ N(beta*n, 1/2), infinite where beta*n overflows.  One float when
+    size is None, else `size` draws: all the uniforms for n, then the normals."""
     if beta < 0.0:
         raise DomainError(f"beta must be >= 0, got {beta}")
-    scale_P = np.sqrt((1.0 + alpha * alpha) / 2.0)
     cum = np.cumsum(np.abs(state.amplitudes) ** 2)
     cum /= cum[-1]
-
-    def draw(generator: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        p_P = generator.normal(0.0, scale_P, size)
-        n = np.minimum(np.searchsorted(cum, generator.random(size), side="right"),
-                       state.n_max)
-        p_R = generator.normal(beta * n, np.sqrt(0.5))
-        return p_P, p_R
-
-    return draw
+    n = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), state.n_max)
+    with np.errstate(over="ignore"):
+        return rng.normal(beta * n, np.sqrt(0.5), size)
 
 
 def mu_of_outcome(p_R: float, beta: float, xi2: float) -> tuple[float, float]:

@@ -136,25 +136,17 @@ class QuadratureWavefunction:
 
 
 class RandomSource:
-    """Seeded random stream. Identical seeds give identical outcome
-    sequences; instances are not safe to share across threads."""
+    """The seeded stream, a numpy Generator (not thread-safe): RandomSource(seed)
+    is default_rng(seed), for_trajectory(seed, index) is default_rng([seed,
+    index]).  Not a subclass, which would load numpy.random (about 6 MB
+    resident) with the package instead of at the first draw."""
 
-    def __init__(self, seed: int):
-        self.seed = _check_seed(seed)
-        self._rng = np.random.default_rng(self.seed)
+    def __new__(cls, seed: int) -> np.random.Generator:
+        return np.random.default_rng(_check_seed(seed))
 
     @classmethod
-    def for_trajectory(cls, seed: int, index: int) -> "RandomSource":
-        src = cls.__new__(cls)
-        src.seed = _check_seed(seed)
-        src._rng = np.random.default_rng([src.seed, int(index)])
-        return src
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        return float(self._rng.normal(loc, scale))
-
-    def uniform(self) -> float:
-        return float(self._rng.random())
+    def for_trajectory(cls, seed: int, index: int) -> np.random.Generator:
+        return np.random.default_rng([_check_seed(seed), int(index)])
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ from spincat import (
     default_cat_grid,
     grid_for_state,
     mu_of_outcome,
-    outcome_sampler,
     quadrature_variances,
     riemann_normalize,
+    sample_first_outcome,
+    sample_second_outcome,
     squeezed_state_exact,
     squeezed_state_stirling,
     to_quadrature,
@@ -356,11 +357,15 @@ def test_trajectories_lines_match_scalar_records(two_block_trajectories):
         assert json.dumps(record, sort_keys=True) == line
 
     # record i is entry i % TRAJECTORY_BLOCK of block i // TRAJECTORY_BLOCK,
-    # drawn from default_rng([seed, block]); its fields follow from p_R by
-    # the scalar functions
+    # drawn from default_rng([seed, block]), all its p_P before all its p_R;
+    # its fields follow from p_R by the scalar functions
     state = squeezed_state_exact(xi2, result["summary"]["n_max"])
-    draw = outcome_sampler(alpha_from_xi2(xi2), state, beta)
-    blocks = [draw(np.random.default_rng([seed, b]), TRAJECTORY_BLOCK) for b in (0, 1)]
+    alpha = alpha_from_xi2(xi2)
+    blocks = []
+    for b in (0, 1):
+        generator = np.random.default_rng([seed, b])
+        blocks.append((sample_first_outcome(alpha, generator, TRAJECTORY_BLOCK),
+                       sample_second_outcome(state, beta, generator, TRAJECTORY_BLOCK)))
     checked = list(range(200)) + list(range(TRAJECTORY_BLOCK - 5, len(records)))
     for i in checked:
         record = records[i]
@@ -444,6 +449,20 @@ def test_trajectories_summary_is_finite_and_matches_records(tmp_path, capsys, be
     assert summary["p_R_std"] == pytest.approx(statistics.pstdev(p_r), rel=1e-12)
 
 
+def test_trajectories_overflowing_outcomes_warn_nothing(tmp_path, capsys):
+    """beta*n past the double range gives an infinite p_R, in the unused
+    rest of the block at --count 1 and in the records at 8192.  Both runs
+    exit 3 with a DomainError and raise no RuntimeWarning, which the test
+    configuration turns into an error."""
+    for count in ("1", "8192"):
+        code, out, err = run_cli(capsys, "trajectories", "--xi2", "30",
+                                 "--beta", "1.634266486238469e+306", "--count", count,
+                                 "--out-dir", str(tmp_path / count))
+        assert code == 3
+        assert out == ""
+        assert _strict_json(err)["kind"] == "DomainError"
+
+
 # ---------------------------------------------------------------------------
 # feasibility
 
@@ -482,6 +501,18 @@ def test_feasibility_aggregates_config_errors(tmp_path, capsys):
     assert code == 2
     assert "kappa0" in err and "gamma" in err
     assert err.count("config error") == 1
+
+
+def test_feasibility_negative_delta_is_a_config_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "feasibility", "--kappa0", "1e4",
+                             "--gamma", "1", "--delta", "-100",
+                             "--n-atoms", "400000", "--n-photons", "32000",
+                             "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: delta must satisfy")
+    assert "delta >= 10*gamma" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags, prefix", [

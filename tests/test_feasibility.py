@@ -50,6 +50,9 @@ def test_detuned_optics_identity(kappa0, gamma, ratio):
 def test_detuned_optics_regime_violation():
     with pytest.raises(DomainError, match="far-detuned"):
         ExperimentalParams(kappa0=1e4, gamma=1.0, delta=5.0, n_atoms=10, n_photons=10.0)
+    # a negative detuning breaks the same bound, which names delta
+    with pytest.raises(DomainError, match=r"delta must satisfy .* delta >= 10\*gamma"):
+        ExperimentalParams(kappa0=1e4, gamma=1.0, delta=-100.0, n_atoms=10, n_photons=10.0)
 
 
 def test_coupling_chain_reference():
@@ -231,8 +234,8 @@ def test_stage_name_propagates():
     params = ExperimentalParams(kappa0=10.0, gamma=1.0, delta=100.0,
                                 n_atoms=1000, n_photons=1e8,
                                 transmission=0.05)
-    # theta at this detuning is not small against T: the cavity stage fails
-    with pytest.raises(DomainError, match="cavity_enhancement"):
+    # theta at this detuning is not small against T: the cavity enhancement fails
+    with pytest.raises(DomainError, match="is not small against transmission"):
         evaluate_scenario(params)
 
 

@@ -29,7 +29,6 @@ from spincat import (
     mean_occupation,
     mu_of_outcome,
     outcome_density_second,
-    outcome_sampler,
     quadrature_variances,
     sample_first_outcome,
     sample_second_outcome,
@@ -345,10 +344,16 @@ def test_sample_second_outcome_reproducible():
     assert a == b
 
 
+def draw_block(alpha, state, beta, rng, size):
+    """A block of `size` p_P draws, then `size` p_R draws, from one stream:
+    the order in which `trajectories` draws each block."""
+    return (sample_first_outcome(alpha, rng, size),
+            sample_second_outcome(state, beta, rng, size))
+
+
 def test_outcome_sampler_p_r_matches_mixture():
     state = squeezed_state_exact(20.0, 230)
-    draw = outcome_sampler(alpha_from_xi2(20.0), state, BETA_FIG)
-    _, p_r = draw(np.random.default_rng(1234), 100_000)
+    _, p_r = draw_block(alpha_from_xi2(20.0), state, BETA_FIG, RandomSource(1234), 100_000)
     stat, dof = chi_square_vs_mixture(p_r, state.amplitudes, BETA_FIG,
                                       np.linspace(-3.0, 25.0, 57))
     assert stat < chi2.ppf(0.99, dof)
@@ -358,8 +363,8 @@ def test_outcome_sampler_p_r_matches_mixture():
 def test_outcome_sampler_p_p_variance(xi2):
     alpha = alpha_from_xi2(xi2)
     count = 100_000
-    draw = outcome_sampler(alpha, squeezed_state_exact(xi2, 230), BETA_FIG)
-    p_p, _ = draw(np.random.default_rng(42), count)
+    p_p, _ = draw_block(alpha, squeezed_state_exact(xi2, 230), BETA_FIG,
+                        RandomSource(42), count)
     var = (1.0 + alpha * alpha) / 2.0
     # the sample variance of a normal has standard error var * sqrt(2/count)
     assert abs(p_p.var() - var) < 5.0 * var * np.sqrt(2.0 / count)
@@ -368,18 +373,52 @@ def test_outcome_sampler_p_p_variance(xi2):
 
 def test_outcome_sampler_vacuum_law():
     state = NumberState(np.array([1.0]))
-    _, p_r = outcome_sampler(0.0, state, 1.0)(np.random.default_rng(11), 100_000)
+    _, p_r = draw_block(0.0, state, 1.0, RandomSource(11), 100_000)
     assert kstest(p_r, "norm", args=(0.0, np.sqrt(0.5))).pvalue > 0.01
 
 
 def test_outcome_sampler_reproducible_and_rejects_negative_beta():
     state = squeezed_state_exact(20.0, 230)
-    draw = outcome_sampler(alpha_from_xi2(20.0), state, BETA_FIG)
-    a = draw(np.random.default_rng([5, 0]), 1000)
-    b = draw(np.random.default_rng([5, 0]), 1000)
+    alpha = alpha_from_xi2(20.0)
+    a = draw_block(alpha, state, BETA_FIG, RandomSource.for_trajectory(5, 0), 1000)
+    b = draw_block(alpha, state, BETA_FIG, RandomSource.for_trajectory(5, 0), 1000)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     with pytest.raises(DomainError):
-        outcome_sampler(0.0, state, -0.1)
+        sample_second_outcome(state, -0.1, RandomSource(0))
+    with pytest.raises(DomainError):
+        sample_second_outcome(state, -0.1, RandomSource(0), 10)
+
+
+# (xi2, beta) pairs for the seeding property: the reference point, a
+# near-vacuum state, a beta near the top of the double range, and the
+# large point.
+SAMPLED_POINTS = [(20.0, BETA_FIG), (1.5, 2.0), (1.0000000000000002, 1e300), (200.0, 0.05)]
+SAMPLED_STATES = [squeezed_state_exact(xi2, choose_truncation(xi2, beta, 0.0, 1e-10))
+                  for xi2, beta in SAMPLED_POINTS]
+
+
+@given(seed=st.integers(0, 2 ** 64 - 1), index=st.integers(0, 2 ** 20),
+       point=st.integers(0, len(SAMPLED_POINTS) - 1))
+@settings(max_examples=200, deadline=None)
+def test_single_draws_are_the_first_of_a_block(seed, index, point):
+    """`cat --sample` draws one p_P and one p_R from RandomSource(seed);
+    they are bit for bit the first entries of a size-1 block, the call
+    `trajectories` makes.  RandomSource(seed) and for_trajectory(seed, b)
+    are the streams of default_rng(seed) and default_rng([seed, b])."""
+    (xi2, beta), state = SAMPLED_POINTS[point], SAMPLED_STATES[point]
+    alpha = alpha_from_xi2(xi2)
+    rng = RandomSource(seed)
+    single = (sample_first_outcome(alpha, rng), sample_second_outcome(state, beta, rng))
+    assert all(type(value) is float for value in single)
+    block = draw_block(alpha, state, beta, RandomSource(seed), 1)
+    assert all(column.shape == (1,) for column in block)
+    assert np.array(single).tobytes() == np.concatenate(block).tobytes()
+
+    for ours, numpy_stream in ((RandomSource(seed), np.random.default_rng(seed)),
+                               (RandomSource.for_trajectory(seed, index),
+                                np.random.default_rng([seed, index]))):
+        assert ours.random(3).tobytes() == numpy_stream.random(3).tobytes()
+        assert ours.normal(size=3).tobytes() == numpy_stream.normal(size=3).tobytes()
 
 
 def test_mu_of_outcome_arrays_match_scalars():
