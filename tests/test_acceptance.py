@@ -145,9 +145,10 @@ def test_criterion_5_fourier_hermite_consistency():
     for mu in (mu_exact, mu_approx):
         grid = default_cat_grid(mu)
         params = CatApproxParams(mu=mu, beta=BETA)
-        via_ft = normalized(fourier_pair(approx_p_wavefunction(params, grid)))
+        via_ft = normalized(fourier_pair(approx_p_wavefunction(params, grid).values, grid),
+                            grid.spacing)
         direct = approx_x_wavefunction(params, grid)
-        worst = max(worst, float(np.max(np.abs(via_ft.values - direct.values))))
+        worst = max(worst, float(np.max(np.abs(via_ft - direct.values))))
     ok = worst < 1e-4
     report(5, f"x wavefunction via Fourier matches analytic form (err {worst:.2e})", ok)
     assert ok

@@ -1,24 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite as np_hermite
 
 from helpers import (
-    GeneralGrid,
-    GeneralState,
-    complex_bits,
     fourier_pair,
-    general_expand,
-    general_to_quadrature,
     hermite_basis,
-    is_symmetric,
-    norm,
-    normalize,
     normalized,
     read_number_state_csv,
     read_wavefunction_csv,
-    reference_expansion,
+    reference_expansions,
+    squeezed_tail_mass,
 )
 from spincat import (
     Basis,
@@ -40,7 +33,7 @@ from spincat import (
 )
 from spincat.io import format_coords, write_number_state_csv, write_wavefunction_csv
 from spincat import default_cat_grid
-from spincat.state import QuadratureWavefunction, _expand, effective_max_index
+from spincat.state import QuadratureWavefunction, _expand, _hermite_rows, effective_max_index
 
 
 def vacuum(n_max=0):
@@ -100,6 +93,14 @@ def test_orthonormality_riemann():
     assert np.max(np.abs(gram - np.eye(61))) < 1e-8
 
 
+def test_eigenfunctions_normalized_up_to_n_700():
+    """`_hermite_rows` promises integral phi_n**2 = 1 to 1e-9 for n <= 700."""
+    grid = QuadratureGrid(50.0, 8192)
+    norms = np.array([np.sum(row * row) * grid.spacing
+                      for row in _hermite_rows(700, grid.points())])
+    assert np.max(np.abs(norms - 1.0)) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # to_quadrature
 
@@ -144,83 +145,31 @@ def test_to_quadrature_rejects_zero_state_and_coarse_grid():
         to_quadrature(state, QuadratureGrid(8, 8), Basis.P)
 
 
-def test_expand_matches_reference_sums_bitwise():
-    # The general copy of the expansion: real coefficients (squeezed, cat,
-    # vacuum) take the real accumulation, a complex state and the x basis
-    # of a real state with odd components the complex one; n_eff differs
-    # from pair to pair.
-    from spincat import apply_number_qnd
-
-    rng = np.random.default_rng(11)
-    squeezed = squeezed_state_exact(20.0, choose_truncation(20.0, 1.0, 0.0, 1e-10))
-    cat = apply_number_qnd(squeezed, 1.0 / 3.0, 7.0 / 3.0)
-    mixed = normalize(GeneralState(rng.normal(size=24) + 1j * rng.normal(size=24)))
-    odd_real = normalize(GeneralState(rng.normal(size=9)))
-    states = (squeezed, mixed, cat, odd_real, vacuum())
-    grid = grid_for_state(squeezed)
-    pairs = [(state, basis) for state in states for basis in (Basis.X, Basis.P)]
-    wavefunctions = general_expand(pairs, grid)
-    assert len(wavefunctions) == len(pairs)
-    for (state, basis), wf in zip(pairs, wavefunctions):
-        assert wf.basis is basis and wf.grid == grid
-        single = general_to_quadrature(state, grid, basis).values
-        assert wf.values.tobytes() == single.tobytes()
-        assert wf.values.tobytes() == reference_expansion(state, grid, basis).tobytes()
-
-
 def even_states():
-    """Even-parity states: squeezed, cat, and a complex one with mixed signs."""
+    """Even-parity states: squeezed and cat."""
     from spincat import apply_number_qnd
 
     squeezed = squeezed_state_exact(20.0, choose_truncation(20.0, 1.0, 0.0, 1e-10))
-    rng = np.random.default_rng(5)
-    mixed = np.zeros(31, dtype=complex)
-    mixed[::2] = rng.normal(size=16) + 1j * rng.normal(size=16)
-    return squeezed, apply_number_qnd(squeezed, 1.0 / 3.0, 7.0 / 3.0), GeneralState(mixed)
+    return squeezed, apply_number_qnd(squeezed, 1.0 / 3.0, 7.0 / 3.0)
 
 
-def assert_expansions_match_reference(states, grid, expand):
+def assert_expansions_match_reference(states, grid):
     pairs = [(state, basis) for state in states for basis in (Basis.P, Basis.X)]
-    for (state, basis), wf in zip(pairs, expand(pairs, grid)):
-        assert complex_bits(wf.values) == reference_expansion(state, grid, basis).tobytes()
+    for wf, reference in zip(_expand(pairs, grid), reference_expansions(pairs, grid)):
+        assert not reference.imag.any()
+        assert wf.values.tobytes() == reference.real.tobytes()
 
 
 @pytest.mark.parametrize("count", [2048, 2047, 2, 3, 301])
 def test_expand_even_states_on_symmetric_grids_bitwise(count):
-    """The half-grid path: even states on a bitwise antisymmetric grid; the
-    complex one through the general copy."""
+    """The half-grid path: even states on a bitwise antisymmetric grid."""
     if count > 256:
-        grid = QuadratureGrid(12.0, count)
-        squeezed, cat, mixed = even_states()
-        groups = (((squeezed, cat), _expand), ((mixed,), general_expand))
+        grid, states = QuadratureGrid(12.0, count), even_states()
     else:
-        grid = QuadratureGrid(0.4, count)
-        groups = (((vacuum(4), squeezed_state_exact(1.5, 6)), _expand),)
-    for states, expand in groups:
-        assert_expansions_match_reference(states, grid, expand)
-        for wf in expand([(state, Basis.X) for state in states], grid):
-            assert wf.values.tobytes() == wf.values[::-1].tobytes()
-
-
-@pytest.mark.parametrize("count", [2048, 2047])
-def test_expand_with_one_odd_coefficient_bitwise(count):
-    """In the general copy, one nonzero odd coefficient in any pair sends
-    every pair down the full-grid path."""
-    squeezed, cat, _ = even_states()
-    amps = squeezed.amplitudes.copy()
-    amps[37] = 1e-3
-    grid = QuadratureGrid(12.0, count)
-    assert_expansions_match_reference((cat, GeneralState(amps)), grid, general_expand)
-    odd = general_expand([(GeneralState(amps), Basis.P)], grid)[0].values
-    assert odd.tobytes() != odd[::-1].tobytes()
-
-
-@pytest.mark.parametrize("grid", [GeneralGrid(-11.0, 12.0, 2048),
-                                  GeneralGrid(-12.0, 12.000000000001, 2047),
-                                  GeneralGrid(0.5, 12.0, 1024)])
-def test_expand_even_states_on_asymmetric_grids_bitwise(grid):
-    """The general copy's full-grid path."""
-    assert_expansions_match_reference(even_states(), grid, general_expand)
+        grid, states = QuadratureGrid(0.4, count), (vacuum(4), squeezed_state_exact(1.5, 6))
+    assert_expansions_match_reference(states, grid)
+    for wf in _expand([(state, Basis.X) for state in states], grid):
+        assert wf.values.tobytes() == wf.values[::-1].tobytes()
 
 
 def test_states_and_wavefunctions_are_real():
@@ -277,10 +226,7 @@ def test_fourier_gaussian_self_dual():
     grid = QuadratureGrid(10.0, 1024)
     p = grid.points()
     values = np.pi ** -0.25 * np.exp(-p * p / 2.0)
-    wf = QuadratureWavefunction(grid, values.astype(complex), Basis.P)
-    out = fourier_pair(wf)
-    assert out.basis is Basis.X
-    assert np.max(np.abs(out.values - values)) < 1e-10
+    assert np.max(np.abs(fourier_pair(values, grid) - values)) < 1e-10
 
 
 def test_fourier_of_gaussian_pair_gives_envelope_times_cosine():
@@ -290,12 +236,12 @@ def test_fourier_of_gaussian_pair_gives_envelope_times_cosine():
     p = grid.points()
     s = np.sqrt(2.0 * mu)
     values = np.exp(-(p - s) ** 2 * beta ** 2 * mu) + np.exp(-(p + s) ** 2 * beta ** 2 * mu)
-    wf = riemann_normalize(QuadratureWavefunction(grid, values.astype(complex), Basis.P))
-    out = normalized(fourier_pair(wf))
+    wf = riemann_normalize(QuadratureWavefunction(grid, values, Basis.P))
+    out = normalized(fourier_pair(wf.values, grid), grid.spacing)
     x = grid.points()
     expected = np.exp(-x * x / (4.0 * beta ** 2 * mu)) * np.cos(x * s)
     expected = expected / np.sqrt(np.sum(expected ** 2) * grid.spacing)
-    assert np.max(np.abs(out.values - expected)) < 1e-6
+    assert np.max(np.abs(out - expected)) < 1e-6
 
 
 def test_double_fourier_is_parity():
@@ -304,26 +250,9 @@ def test_double_fourier_is_parity():
     p = grid.points()
     s = np.sqrt(2.0 * mu)
     asym = np.exp(-(p - s) ** 2 * beta ** 2 * mu) + 0.5 * np.exp(-(p + s) ** 2 * beta ** 2 * mu)
-    wf = riemann_normalize(QuadratureWavefunction(grid, asym.astype(complex), Basis.P))
-    back = fourier_pair(fourier_pair(wf))
-    assert np.max(np.abs(back.values - wf.values[::-1])) < 1e-6
-
-
-def test_fourier_requires_symmetric_grid():
-    grid = GeneralGrid(-4.0, 8.0, 256)
-    wf = QuadratureWavefunction(grid, np.exp(-grid.points() ** 2).astype(complex), Basis.P)
-    with pytest.raises(DomainError):
-        fourier_pair(wf)
-
-
-# ---------------------------------------------------------------------------
-# norm / normalize (the helpers' copies)
-
-
-def test_norm_of_truncated_squeezed_state():
-    state = squeezed_state_exact(20.0, 256)
-    assert np.isfinite(norm(state))
-    assert norm(normalize(NumberState(3.0 * state.amplitudes))) == pytest.approx(1.0, abs=1e-12)
+    wf = riemann_normalize(QuadratureWavefunction(grid, asym, Basis.P))
+    back = fourier_pair(fourier_pair(wf.values, grid), grid)
+    assert np.max(np.abs(back - wf.values[::-1])) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +267,8 @@ def test_choose_truncation_reference_case():
     n_max = choose_truncation(20.0, 1.0 / 3.0, 7.0, 1e-10)
     assert n_max % 2 == 0
     assert n_max >= 37
-    # geometric tail bound must actually hold at the returned truncation
-    q = (19.0 / 21.0) ** 2
-    assert q ** (n_max // 2 + 1) < 1e-10
+    # the promised tail mass, summed exactly, holds at the returned truncation
+    assert squeezed_tail_mass(20.0, n_max) < 1e-10
 
 
 def test_choose_truncation_cap():
@@ -349,16 +277,22 @@ def test_choose_truncation_cap():
     assert info.value.required_n_max > 16
 
 
-@given(xi2=st.floats(1.0, 80.0), beta=st.floats(0.05, 3.0), mu=st.floats(0.0, 50.0))
+@given(xi2=st.floats(1.0, 215.0), beta=st.floats(0.05, 3.0), mu=st.floats(0.0, 50.0),
+       tol_exponent=st.floats(-20.0, -4.0))
+@example(xi2=1.0, beta=1.0, mu=0.0, tol_exponent=-20.0)
+@example(xi2=1.0001, beta=1.0, mu=0.0, tol_exponent=-4.0)
+@example(xi2=215.0, beta=1.0, mu=0.0, tol_exponent=-20.0)
+@example(xi2=215.0, beta=1.0, mu=0.0, tol_exponent=-4.0)
 @settings(max_examples=40, deadline=None)
-def test_choose_truncation_bounds_hold(xi2, beta, mu):
-    n_max = choose_truncation(xi2, beta, mu, 1e-10, cap=100_000)
+def test_choose_truncation_bounds_hold(xi2, beta, mu, tol_exponent):
+    """The exact tail mass beyond n_max is below tail_tol for xi2 from 1 to
+    215 (the default cap's reach) and tail_tol from 1e-20 to 1e-4."""
+    tail_tol = 10.0 ** tol_exponent
+    n_max = choose_truncation(xi2, beta, mu, tail_tol, cap=100_000)
     assert n_max % 2 == 0 and n_max >= 2
     if mu > 0:
         assert n_max >= mu + 10.0 / beta - 1.0
-    q = ((xi2 - 1.0) / (xi2 + 1.0)) ** 2
-    if q > 0:
-        assert q ** (n_max // 2 + 1) < 1e-10
+    assert squeezed_tail_mass(xi2, n_max) < tail_tol
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +303,15 @@ def test_choose_truncation_bounds_hold(xi2, beta, mu):
 def test_parseval(xi2):
     state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, 1e-10))
     wf = to_quadrature(state, grid_for_state(state), Basis.P)
-    assert riemann_norm(wf) == pytest.approx(norm(state), abs=1e-6)
+    assert riemann_norm(wf) == pytest.approx(np.linalg.norm(state.amplitudes), abs=1e-6)
 
 
 def test_basis_consistency_even_states():
     state = squeezed_state_exact(5.0, choose_truncation(5.0, 1.0, 0.0, 1e-10))
     grid = grid_for_state(state)
     via_x = to_quadrature(state, grid, Basis.X)
-    via_ft = fourier_pair(to_quadrature(state, grid, Basis.P))
-    assert np.max(np.abs(via_x.values - via_ft.values)) < 1e-6
-
-
-def test_basis_consistency_odd_components():
-    # Odd n is where i**n and (-i)**n differ, so this pins the phase of
-    # the x expansion against the transform it stands for.
-    rng = np.random.default_rng(7)
-    amps = rng.normal(size=24) + 1j * rng.normal(size=24)
-    state = normalize(GeneralState(amps))
-    grid = grid_for_state(state)
-    via_x = general_to_quadrature(state, grid, Basis.X)
-    via_ft = fourier_pair(general_to_quadrature(state, grid, Basis.P))
-    assert np.max(np.abs(via_x.values - via_ft.values)) < 1e-10
+    via_ft = fourier_pair(to_quadrature(state, grid, Basis.P).values, grid)
+    assert np.max(np.abs(via_x.values - via_ft)) < 1e-6
 
 
 @given(data=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=32))
@@ -401,7 +323,7 @@ def test_oscillator_identity(data):
     amps[::2] = data  # even-parity state
     if np.linalg.norm(amps) < 1e-6:
         amps[0] = 1.0
-    state = normalize(NumberState(amps))
+    state = NumberState(amps / np.linalg.norm(amps))
     dx2, dp2 = quadrature_variances(state)
     assert dx2 / 2.0 + dp2 / 2.0 == pytest.approx(mean_occupation(state) + 0.5, abs=1e-6)
 
@@ -458,8 +380,6 @@ def test_grid_points_are_antisymmetric():
     grid = QuadratureGrid(7.0, 258)
     pts = grid.points()
     assert np.array_equal(pts, -pts[::-1])
-    assert is_symmetric(grid)
-    assert not is_symmetric(GeneralGrid(-1.0, 2.0, 16))
 
 
 @given(half_width=st.one_of(st.floats(5e-324, 2.2250738585072014e-308),
