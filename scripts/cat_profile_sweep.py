@@ -31,7 +31,7 @@ def run_sweep(xi2, beta, mu_values):
     rows = []
     for mu in mu_values:
         p_r = invert_mu(mu, beta, xi2)
-        _, _, wavefunctions, metrics = analyze_cat(xi2, beta, p_r, 1e-10)
+        _, _, wavefunctions, metrics = analyze_cat(xi2, beta, p_r)
         positions, widths = detect_peaks(dict(wavefunctions)["cat_p"])
         rows.append({
             "mu": mu,

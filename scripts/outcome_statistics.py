@@ -4,8 +4,7 @@
 Draws `--count` outcomes p_R in one block from the exact two-stage sampler
 `sample_second_outcome` on `RandomSource(--seed)`, bins them, and prints
 observed versus expected counts plus the chi-square statistic.  Only p_R
-is drawn; earlier versions drew a block of p_P first from the same
-stream, so a given seed prints a different table than it did there.
+is drawn.
 """
 
 import argparse
@@ -19,6 +18,7 @@ from spincat import (
     sample_second_outcome,
     squeezed_state_exact,
 )
+from spincat.state import TAIL_TOL
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
     args = parser.parse_args()
 
     state = squeezed_state_exact(
-        args.xi2, choose_truncation(args.xi2, args.beta, 0.0, 1e-10))
+        args.xi2, choose_truncation(args.xi2, args.beta, 0.0, TAIL_TOL))
     draws = sample_second_outcome(state, args.beta, RandomSource(args.seed), args.count)
 
     lo, hi = np.quantile(draws, [0.001, 0.999])

@@ -41,6 +41,7 @@ from .state import (
     Basis,
     QuadratureGrid,
     QuadratureWavefunction,
+    TAIL_TOL,
     _check_coverage,
     _expand,
     choose_truncation,
@@ -295,14 +296,13 @@ def compute_cat_metrics(p_wf: QuadratureWavefunction, x_wf: QuadratureWavefuncti
     )
 
 
-def analyze_cat(xi2: float, beta: float, p_R: float, tail_tol: float,
-                grid: QuadratureGrid | None = None):
+def analyze_cat(xi2: float, beta: float, p_R: float, grid: QuadratureGrid | None = None):
     """(cat_state, grid, wavefunctions, metrics) of the cat that the outcome
     p_R leaves; `grid` overrides the default grid.  wavefunctions are (name,
     wavefunction) pairs, the approximations only for mu_exact > 0.  An
     improbable outcome's error carries its `density`; coverage is checked last."""
     mu_exact, mu_approx = mu_of_outcome(p_R, beta, xi2)
-    n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx, 0.0), tail_tol)
+    n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx, 0.0), TAIL_TOL)
     squeezed = squeezed_state_exact(xi2, n_max)
     try:
         cat_state = apply_number_qnd(squeezed, beta, p_R)

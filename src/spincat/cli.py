@@ -37,7 +37,7 @@ from .state import (
     Basis,
     QuadratureGrid,
     RandomSource,
-    _TRUNCATION_CAP,
+    TAIL_TOL,
     _check_coverage,
     _expand,
     choose_truncation,
@@ -72,7 +72,6 @@ class Field:
 
 _XI2 = Field(required=True, minimum=1.0, strict=True)
 _BETA = Field(required=True, minimum=0.0, strict=True)
-_TAIL_TOL = Field(default=1e-10, minimum=0.0, strict=True)
 _SEED = Field(int, default=0, minimum=0, maximum=2 ** 64 - 1)
 # Upper bounds on sizes keep a mistyped size from ending in a numpy error
 # or a multi-gigabyte allocation.
@@ -85,22 +84,20 @@ _PARAMS = fields(ExperimentalParams)
 
 FIELDS = {
     "squeeze": {
-        "xi2": replace(_XI2, strict=False),
-        "n_max": Field(int, minimum=0, maximum=_TRUNCATION_CAP),
-        "tail_tol": _TAIL_TOL, **_GRID, "out_dir": _OUT_DIR,
+        "xi2": replace(_XI2, strict=False), **_GRID, "out_dir": _OUT_DIR,
     },
     "cat": {
         "xi2": _XI2, "beta": _BETA,
         "pr": Field(help="explicit second-step outcome p_R"),
         "pr_over_beta": Field(help="second-step outcome given as p_R/beta"),
         "sample": Field(bool, default=False, help="draw both outcomes from the seeded stream"),
-        "tail_tol": _TAIL_TOL, "seed": _SEED, **_GRID, "out_dir": _OUT_DIR,
+        "seed": _SEED, **_GRID, "out_dir": _OUT_DIR,
     },
     "trajectories": {
         "xi2": _XI2, "beta": _BETA,
         "count": Field(int, required=True, minimum=1, maximum=10 ** 7),
         "bins": Field(int, default=100, minimum=1, maximum=_MAX_POINTS),
-        "tail_tol": _TAIL_TOL, "seed": _SEED, "out_dir": _OUT_DIR,
+        "seed": _SEED, "out_dir": _OUT_DIR,
     },
     "feasibility": {
         "preset": Field(str, choices=tuple(sorted(PRESETS))),
@@ -217,12 +214,6 @@ def _grid_pair(cfg):
         yield "grid overrides require both grid_half_width and grid_count"
 
 
-def _squeeze_rules(cfg):
-    yield from _grid_pair(cfg)
-    if cfg.n_max is not None and cfg.n_max % 2:
-        yield f"n_max must be even, got {cfg.n_max}"
-
-
 def _cat_rules(cfg):
     yield from _grid_pair(cfg)
     if (cfg.pr is not None) + (cfg.pr_over_beta is not None) + cfg.sample != 1:
@@ -297,9 +288,7 @@ def _output_grid(cfg) -> QuadratureGrid | None:
 
 
 def run_squeeze(cfg: argparse.Namespace) -> dict:
-    n_max = cfg.n_max
-    if n_max is None:
-        n_max = choose_truncation(cfg.xi2, 1.0, 0.0, cfg.tail_tol)
+    n_max = choose_truncation(cfg.xi2, 1.0, 0.0, TAIL_TOL)
     exact = squeezed_state_exact(cfg.xi2, n_max)
     grid = _output_grid(cfg) or grid_for_state(exact)
     dx2, dp2 = quadrature_variances(exact)
@@ -341,7 +330,7 @@ def run_cat(cfg: argparse.Namespace) -> dict:
     alpha = alpha_from_xi2(cfg.xi2)
     p_P = None
     if cfg.sample:
-        base_n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0, cfg.tail_tol)
+        base_n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0, TAIL_TOL)
         rng = RandomSource(cfg.seed)
         p_P = sample_first_outcome(alpha, rng)
         p_R = sample_second_outcome(squeezed_state_exact(cfg.xi2, base_n_max),
@@ -352,7 +341,7 @@ def run_cat(cfg: argparse.Namespace) -> dict:
         p_R = cfg.beta * cfg.pr_over_beta
 
     cat_state, grid, wavefunctions, metrics = analyze_cat(
-        cfg.xi2, cfg.beta, p_R, cfg.tail_tol, _output_grid(cfg))
+        cfg.xi2, cfg.beta, p_R, _output_grid(cfg))
     metrics["p_P"] = p_P
 
     files, write = _outputs(cfg.out_dir)
@@ -378,7 +367,7 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
     p_P, then all its p_R.  Every block is drawn whole, so record i depends
     on the seed and i only."""
     alpha = alpha_from_xi2(cfg.xi2)
-    n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0, cfg.tail_tol)
+    n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0, TAIL_TOL)
     state = squeezed_state_exact(cfg.xi2, n_max)
 
     p_r_values = np.empty(cfg.count)
@@ -449,7 +438,7 @@ def run_feasibility(cfg: argparse.Namespace) -> dict:
 
 # command: (help, rules checked after the fields, run function)
 _COMMANDS = {
-    "squeeze": ("prepare and analyze a squeezed state", _squeeze_rules, run_squeeze),
+    "squeeze": ("prepare and analyze a squeezed state", _grid_pair, run_squeeze),
     "cat": ("run both QND steps and analyze the cat state", _cat_rules, run_cat),
     "trajectories": ("Monte Carlo over full protocol runs", lambda cfg: (), run_trajectories),
     "feasibility": ("experimental feasibility report", _feasibility_rules, run_feasibility),

@@ -24,6 +24,7 @@ from .errors import DomainError, ImprobableOutcomeError
 from .state import NumberState
 
 _LOG_IMPROBABLE = math.log(1e-300)
+_TINY = np.finfo(float).tiny
 
 # Cephes `lgam` (Moshier, Methods and Programs for Mathematical Functions,
 # 1989) at x = k + 1: the exact product (x-1)! below 13, else Stirling's
@@ -135,6 +136,16 @@ def apply_number_qnd(state: NumberState, beta: float, p_R: float) -> NumberState
     if shift > -math.inf:
         scaled = state.amplitudes * np.exp(expo - shift)
         nrm = np.linalg.norm(scaled)
+    if nrm * nrm < _TINY:
+        # The largest weight fell on zero amplitudes, and the squares of the
+        # other terms underflow: shift by the largest term instead, in logs
+        # so that no factor overflows, and keep zero entries exactly zero.
+        with np.errstate(divide="ignore"):
+            log_terms = np.log(np.abs(state.amplitudes)) + expo
+        shift = log_terms.max()
+        if shift > -math.inf:
+            scaled = np.copysign(np.exp(log_terms - shift), state.amplitudes)
+            nrm = np.linalg.norm(scaled)
     log_norm = shift + (math.log(nrm) if nrm > 0.0 else -math.inf)
     if log_norm < _LOG_IMPROBABLE:
         raise ImprobableOutcomeError(

@@ -49,6 +49,9 @@ HERMITE_N_BUDGET = 2000
 
 _TRUNCATION_CAP = 4096
 
+# Bound on the squeezed-state tail mass every command leaves past n_max.
+TAIL_TOL = 1e-10
+
 
 class Basis(str, Enum):
     X = "x"

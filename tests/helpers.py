@@ -185,6 +185,24 @@ def squeezed_tail_mass(xi2: float, n_max: int, digits: int = 50) -> Decimal:
         return (1 - q).sqrt() * total
 
 
+def exact_qnd_log_norm(amplitudes: np.ndarray, beta: float, p_R: float,
+                       digits: int = 50, cut: int = 2000) -> Decimal | float:
+    """log of the norm of amplitude_n * exp(-(beta*n - p_R)**2 / 2) in
+    `digits`-digit decimal arithmetic from the exact binary values of the
+    inputs, or -inf when every term is 0.  Terms with (beta*n - p_R)**2 >=
+    cut are left out; with amplitudes of at most 1 they add less than
+    amplitudes.size * exp(-cut) to the squared norm."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        b, p = Decimal(beta), Decimal(p_R)
+        total = Decimal(0)
+        for n, a in enumerate(amplitudes.tolist()):
+            square = (b * n - p) ** 2
+            if a != 0.0 and square < cut:
+                total += Decimal(a) ** 2 * (-square).exp()
+        return total.ln() / 2 if total else -np.inf
+
+
 # ---------------------------------------------------------------------------
 # reference expansion and writers: one value at a time, in numpy scalars
 

@@ -18,6 +18,7 @@ from helpers import (
     read_number_state_csv,
     reference_number_state_csv,
     reference_wavefunction_csv,
+    squeezed_tail_mass,
 )
 from spincat import (
     Basis,
@@ -132,6 +133,26 @@ def test_default_squeeze_grids_pass_the_coverage_check(xi2):
     assert effective_max_index(state) <= HERMITE_N_BUDGET
     wavefunctions = _expand([(state, Basis.P), (state, Basis.X)], grid_for_state(state))
     _check_coverage(wavefunctions, *quadrature_variances(state))
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["squeeze", "--xi2", "20"], "summary"),
+    (["squeeze", "--xi2", "60"], "summary"),
+    (["cat", "--xi2", "20", "--beta", "0.3333333333333333", "--pr-over-beta", "7"], "trace"),
+    (["cat", "--xi2", "20", "--beta", "0.3333", "--sample", "--seed", "7"], "trace"),
+    (["trajectories", "--xi2", "20", "--beta", "0.3333", "--count", "10"], "summary"),
+], ids=["squeeze-20", "squeeze-60", "cat-reference", "cat-sampled", "trajectories"])
+def test_commands_truncate_below_the_tail_tolerance(tmp_path, capsys, argv, report):
+    """Truncation is not a flag: the exact squeezed-state tail mass beyond
+    the n_max a command reports is below 1e-10."""
+    code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 0, err
+    result = stdout_json(out)
+    if report == "trace":
+        n_max = json.loads(Path(result["files"]["trace"]).read_text())["n_max"]
+    else:
+        n_max = result["summary"]["n_max"]
+    assert squeezed_tail_mass(float(argv[2]), n_max) < 1e-10
 
 
 def test_coverage_check_compares_each_second_moment():
@@ -567,7 +588,11 @@ def test_config_file_unknown_field(tmp_path, capsys):
     ["squeeze", "--xi2", "20", "--seed", "3"],
     ["trajectories", "--xi2", "20", "--beta", "0.5", "--count", "10",
      "--grid-half-width", "-3", "--grid-count", "1"],
-], ids=["feasibility-seed", "feasibility-grid", "squeeze-seed", "trajectories-grid"])
+    ["squeeze", "--xi2", "20", "--n-max", "40"],
+    ["cat", "--xi2", "20", "--beta", "0.3333", "--pr-over-beta", "7", "--tail-tol", "1e-4"],
+    ["trajectories", "--xi2", "20", "--beta", "0.5", "--count", "10", "--tail-tol", "1e-4"],
+], ids=["feasibility-seed", "feasibility-grid", "squeeze-seed", "trajectories-grid",
+        "squeeze-n-max", "cat-tail-tol", "trajectories-tail-tol"])
 def test_flags_of_other_commands_exit_config(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
     assert code == 2
@@ -580,6 +605,10 @@ def test_flags_of_other_commands_exit_config(tmp_path, capsys, argv):
     ("squeeze", {"xi2": 20.0, "seed": 3}),
     ("trajectories", {"xi2": 20.0, "beta": 0.5, "count": 10,
                       "grid_half_width": 9.0, "grid_count": 64}),
+    ("squeeze", {"xi2": 20.0, "n_max": 40}),
+    ("squeeze", {"xi2": 20.0, "tail_tol": 1e-4}),
+    ("cat", {"xi2": 20.0, "beta": 0.3333, "pr_over_beta": 7.0, "tail_tol": 1e-4}),
+    ("trajectories", {"xi2": 20.0, "beta": 0.5, "count": 10, "tail_tol": 1e-4}),
 ])
 def test_config_fields_of_other_commands_exit_config(tmp_path, capsys, command, fields):
     config = tmp_path / "run.json"
@@ -667,7 +696,7 @@ def test_extreme_numbers_exit_numeric(tmp_path, capsys, argv, kind):
 
 
 @pytest.mark.parametrize("argv, prefix", [
-    (["squeeze", "--xi2", "20", "--n-max", "3"], "config error: "),
+    (["squeeze", "--xi2", "20", "--grid-half-width", "9"], "config error: "),
     (["squeeze", "--xi2", "20", "--frobnicate", "1"], "usage: "),
 ], ids=["config-rule", "argparse"])
 def test_config_errors_print_plain_text(tmp_path, capsys, argv, prefix):
@@ -682,11 +711,10 @@ def test_config_errors_print_plain_text(tmp_path, capsys, argv, prefix):
 
 
 @pytest.mark.parametrize("argv, name, bound", [
-    (["squeeze", "--xi2", "20"], "n_max", 4096),
     (["squeeze", "--xi2", "2", "--grid-half-width", "5"], "grid_count", 2 ** 20),
     (["trajectories", "--xi2", "20", "--beta", "0.5", "--count", "10"], "bins", 2 ** 20),
     (["trajectories", "--xi2", "20", "--beta", "0.5"], "count", 10 ** 7),
-])
+], ids=["argv1-grid_count-1048576", "argv2-bins-1048576", "argv3-count-10000000"])
 @pytest.mark.parametrize("past", ["bound+1", "1e20"])
 def test_sizes_past_their_bound_exit_config(tmp_path, capsys, argv, name, bound, past):
     value = str(bound + 1) if past == "bound+1" else "1e20"
@@ -775,7 +803,7 @@ def test_failing_first_write_removes_the_out_dir_it_created(tmp_path, capsys, le
 # Numbers drawn for these fields are capped so that a run that succeeds
 # stays cheap: they size arrays, files and run times, and the upper bounds
 # in FIELDS still allow sizes that take seconds to minutes a run.
-FUZZ_CAPS = {"xi2": 30.0, "count": 40, "bins": 40, "grid_count": 400, "n_max": 400}
+FUZZ_CAPS = {"xi2": 30.0, "count": 40, "bins": 40, "grid_count": 400}
 
 FUZZ_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(),

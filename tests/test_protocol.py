@@ -8,6 +8,7 @@ from scipy.stats import chi2, kstest
 from helpers import (
     brute_force_number_qnd,
     chi_square_vs_mixture,
+    exact_qnd_log_norm,
     hermite_basis,
     longdouble_quadrature_variances,
     riemann_quadrature_variances,
@@ -36,7 +37,7 @@ from spincat import (
     squeezed_state_stirling,
 )
 from spincat import protocol
-from spincat.state import _TRUNCATION_CAP
+from spincat.state import TAIL_TOL, _TRUNCATION_CAP
 
 BETA_FIG = 1.0 / 3.0
 
@@ -247,6 +248,33 @@ def test_apply_number_qnd_overflowing_exponents_are_improbable():
         apply_number_qnd(state, 1e300, 1e155)
     assert info.value.log_norm == -np.inf
     assert outcome_density_second(state, 1e300)(1e155) == 0.0
+
+
+@pytest.mark.parametrize("xi2", [2.0, 20.0, 200.0])
+def test_apply_number_qnd_refuses_exactly_below_its_floor(xi2):
+    """An outcome is refused exactly when the exact log-norm of the
+    conditioned state is below log(1e-300), and a refusal reports that
+    log-norm.  At p_R/beta = 1 and 7 the largest weight falls on an odd n,
+    whose amplitude is 0, and from beta near 27 on the squares of the
+    other terms underflow."""
+    for beta in (10.0, 28.0, 30.0, 34.0, 36.0, 37.0, 37.5, 40.0):
+        for pr_over_beta in (1.0, 1.5, 7.0):
+            p_R = beta * pr_over_beta
+            mu_exact, mu_approx = mu_of_outcome(p_R, beta, xi2)
+            state = squeezed_state_exact(xi2, choose_truncation(
+                xi2, beta, max(mu_exact, mu_approx, 0.0), TAIL_TOL))
+            # The terms the oracle leaves out add below 1e-860 to a squared
+            # norm compared with 1e-600.
+            exact = float(exact_qnd_log_norm(state.amplitudes, beta, p_R))
+            where = f"beta={beta}, p_R/beta={pr_over_beta}, exact log norm {exact}"
+            if exact < protocol._LOG_IMPROBABLE:
+                with pytest.raises(ImprobableOutcomeError) as info:
+                    apply_number_qnd(state, beta, p_R)
+                assert info.value.log_norm == pytest.approx(exact, rel=1e-12), where
+            else:
+                cat = apply_number_qnd(state, beta, p_R)
+                assert np.linalg.norm(cat.amplitudes) == pytest.approx(1.0, abs=1e-14), where
+                assert np.all(cat.amplitudes[state.amplitudes == 0.0] == 0.0), where
 
 
 def test_parity_survives_both_steps_bitwise():

@@ -1,14 +1,16 @@
-"""The README's command-line examples run as written."""
+"""The README's command-line examples run as written, and its command-line
+section names only flags the commands take."""
 
 import contextlib
 import io
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from spincat.cli import main
+from spincat.cli import FIELDS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +37,13 @@ def test_readme_command_runs(tmp_path, monkeypatch, argv):
         code = main(argv)
     assert code == 0
     assert json.loads(stdout.getvalue())["command"] == argv[0]
+
+
+def test_readme_names_only_flags_of_some_command():
+    """Every --flag in the "Command line" section, up to the next `## `
+    heading, is a FIELDS name written as a flag, --config or --help."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    flags = {"--" + name.replace("_", "-") for table in FIELDS.values() for name in table}
+    assert named
+    assert named - flags - {"--config", "--help"} == set()

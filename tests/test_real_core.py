@@ -55,7 +55,7 @@ def real_references(pairs, grid) -> list[np.ndarray]:
     (20.0, 1.0 / 3.0, 7.0), (200.0, 0.05, 100.0)], ids=["reference", "large"])
 def test_cat_against_oracles(xi2, beta, pr_over_beta):
     p_R = beta * pr_over_beta
-    cat, grid, wavefunctions, metrics = analyze_cat(xi2, beta, p_R, 1e-10)
+    cat, grid, wavefunctions, metrics = analyze_cat(xi2, beta, p_R)
     reference = NumberState(general_apply_number_qnd(
         squeezed_state_exact(xi2, cat.n_max).amplitudes, beta, p_R))
     assert np.all(np.abs(cat.amplitudes - reference.amplitudes)
