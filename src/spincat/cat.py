@@ -296,11 +296,12 @@ def compute_cat_metrics(p_wf: QuadratureWavefunction, x_wf: QuadratureWavefuncti
     )
 
 
-def analyze_cat(xi2: float, beta: float, p_R: float, grid: QuadratureGrid | None = None):
+def analyze_cat(xi2: float, beta: float, p_R: float):
     """(cat_state, grid, wavefunctions, metrics) of the cat that the outcome
-    p_R leaves; `grid` overrides the default grid.  wavefunctions are (name,
-    wavefunction) pairs, the approximations only for mu_exact > 0.  An
-    improbable outcome's error carries its `density`; coverage is checked last."""
+    p_R leaves, on `default_cat_grid` (on `grid_for_state` when mu_exact <=
+    0).  wavefunctions are (name, wavefunction) pairs, the approximations
+    only for mu_exact > 0.  An improbable outcome's error carries its
+    `density`; coverage is checked last."""
     mu_exact, mu_approx = mu_of_outcome(p_R, beta, xi2)
     n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx, 0.0), TAIL_TOL)
     squeezed = squeezed_state_exact(xi2, n_max)
@@ -310,10 +311,8 @@ def analyze_cat(xi2: float, beta: float, p_R: float, grid: QuadratureGrid | None
         exc.density = float(outcome_density_second(squeezed, beta)(p_R))
         raise
 
-    if grid is None:
-        grid = (default_cat_grid(mu_exact, effective_max_index(cat_state))
-                if mu_exact > 0.0 else grid_for_state(cat_state))
-
+    grid = (default_cat_grid(mu_exact, beta, effective_max_index(cat_state))
+            if mu_exact > 0.0 else grid_for_state(cat_state))
     expanded = _expand([(cat_state, Basis.P), (cat_state, Basis.X)], grid)
     exact_p, exact_x = (riemann_normalize(wf) for wf in expanded)
     wavefunctions = [("cat_p", exact_p), ("cat_x", exact_x)]

@@ -35,7 +35,6 @@ from .protocol import (
 )
 from .state import (
     Basis,
-    QuadratureGrid,
     RandomSource,
     TAIL_TOL,
     _check_coverage,
@@ -73,30 +72,25 @@ class Field:
 _XI2 = Field(required=True, minimum=1.0, strict=True)
 _BETA = Field(required=True, minimum=0.0, strict=True)
 _SEED = Field(int, default=0, minimum=0, maximum=2 ** 64 - 1)
-# Upper bounds on sizes keep a mistyped size from ending in a numpy error
-# or a multi-gigabyte allocation.
-_MAX_POINTS = 2 ** 20
-_GRID = {"grid_half_width": Field(minimum=0.0, strict=True),
-         "grid_count": Field(int, minimum=2, maximum=_MAX_POINTS)}
 _OUT_DIR = Field(str, default=".")
 # ExperimentalParams checks their bounds and gives the defaults.
 _PARAMS = fields(ExperimentalParams)
 
 FIELDS = {
-    "squeeze": {
-        "xi2": replace(_XI2, strict=False), **_GRID, "out_dir": _OUT_DIR,
-    },
+    "squeeze": {"xi2": replace(_XI2, strict=False), "out_dir": _OUT_DIR},
     "cat": {
         "xi2": _XI2, "beta": _BETA,
         "pr": Field(help="explicit second-step outcome p_R"),
         "pr_over_beta": Field(help="second-step outcome given as p_R/beta"),
         "sample": Field(bool, default=False, help="draw both outcomes from the seeded stream"),
-        "seed": _SEED, **_GRID, "out_dir": _OUT_DIR,
+        "seed": _SEED, "out_dir": _OUT_DIR,
     },
     "trajectories": {
         "xi2": _XI2, "beta": _BETA,
+        # Upper bounds on sizes keep a mistyped size from ending in a numpy
+        # error or a multi-gigabyte allocation.
         "count": Field(int, required=True, minimum=1, maximum=10 ** 7),
-        "bins": Field(int, default=100, minimum=1, maximum=_MAX_POINTS),
+        "bins": Field(int, default=100, minimum=1, maximum=2 ** 20),
         "seed": _SEED, "out_dir": _OUT_DIR,
     },
     "feasibility": {
@@ -209,13 +203,7 @@ def _check(name: str, field: Field, value, problems: list):
     return value
 
 
-def _grid_pair(cfg):
-    if (cfg.grid_half_width is None) != (cfg.grid_count is None):
-        yield "grid overrides require both grid_half_width and grid_count"
-
-
 def _cat_rules(cfg):
-    yield from _grid_pair(cfg)
     if (cfg.pr is not None) + (cfg.pr_over_beta is not None) + cfg.sample != 1:
         yield "exactly one of pr, pr_over_beta or sample must be given"
 
@@ -281,16 +269,10 @@ def _outputs(out_dir: str):
     return files, write
 
 
-def _output_grid(cfg) -> QuadratureGrid | None:
-    if cfg.grid_half_width is not None:
-        return QuadratureGrid(cfg.grid_half_width, cfg.grid_count)
-    return None
-
-
 def run_squeeze(cfg: argparse.Namespace) -> dict:
     n_max = choose_truncation(cfg.xi2, 1.0, 0.0, TAIL_TOL)
     exact = squeezed_state_exact(cfg.xi2, n_max)
-    grid = _output_grid(cfg) or grid_for_state(exact)
+    grid = grid_for_state(exact)
     dx2, dp2 = quadrature_variances(exact)
 
     families = [("squeeze_exact", exact)]
@@ -340,8 +322,7 @@ def run_cat(cfg: argparse.Namespace) -> dict:
     else:
         p_R = cfg.beta * cfg.pr_over_beta
 
-    cat_state, grid, wavefunctions, metrics = analyze_cat(
-        cfg.xi2, cfg.beta, p_R, _output_grid(cfg))
+    cat_state, grid, wavefunctions, metrics = analyze_cat(cfg.xi2, cfg.beta, p_R)
     metrics["p_P"] = p_P
 
     files, write = _outputs(cfg.out_dir)
@@ -438,7 +419,7 @@ def run_feasibility(cfg: argparse.Namespace) -> dict:
 
 # command: (help, rules checked after the fields, run function)
 _COMMANDS = {
-    "squeeze": ("prepare and analyze a squeezed state", _grid_pair, run_squeeze),
+    "squeeze": ("prepare and analyze a squeezed state", lambda cfg: (), run_squeeze),
     "cat": ("run both QND steps and analyze the cat state", _cat_rules, run_cat),
     "trajectories": ("Monte Carlo over full protocol runs", lambda cfg: (), run_trajectories),
     "feasibility": ("experimental feasibility report", _feasibility_rules, run_feasibility),

@@ -206,9 +206,13 @@ def riemann_normalize(wf: QuadratureWavefunction) -> QuadratureWavefunction:
 # Relative tolerance of the coverage check of both squeeze and cat.  On
 # default squeeze grids the worst residual, 6.3e-4, is at xi2 = 173.5, the
 # last xi2 within HERMITE_N_BUDGET, where the eigenfunction rows lose mass
-# past n = 700; for xi2 <= 60 it is below 5e-13.  A grid that cuts off the
-# state misses by far more: on +-3 at xi2 = 20, 34 % of the p norm; on +-2,
-# 98 % of the p norm of the cat near the reference point.
+# past n = 700; for xi2 <= 60 it is below 5e-13.  On default cat grids the
+# norm misses by at most 8.6e-7 over 400 cats with xi2 in [5, 210], beta in
+# [1.5/xi2, 1] and mu in [1e-3, xi2], and by more than 1e-12 only where
+# mu < 1/beta or where the same rows lose mass (1.9e-6 at xi2 = 204,
+# beta = 0.0057, mu = 199).  A grid that cuts off the state misses by far
+# more: a margin of 8 instead of 5 peak sigmas holds 98.9 % of the p norm
+# at xi2 = 200, beta = 0.01, mu = 100.
 COVERAGE_TOL = 1e-3
 
 
@@ -275,16 +279,25 @@ def _symmetric_grid(half: float, spacing: float, floor: int = 2) -> QuadratureGr
     return QuadratureGrid(half, count)
 
 
-def default_cat_grid(mu: float, n_eff: int = 0) -> QuadratureGrid:
-    """Default symmetric grid for a cat state of mean flip number mu:
-    range +-(sqrt(2 mu) + 8), smallest power-of-two point count giving at
-    least 16 points per fringe period 2 pi / sqrt(2 mu) and a spacing
-    within the `to_quadrature` resolution bound pi / sqrt(2 n_eff + 1)
-    for a state occupied up to n = n_eff."""
+def default_cat_grid(mu: float, beta: float, n_eff: int) -> QuadratureGrid:
+    """Default symmetric grid for a cat state of mean flip number mu after
+    a measurement of strength beta, occupied up to n = n_eff.  Each p peak
+    at +-sqrt(2 mu) is a Gaussian of amplitude sigma 1/(beta sqrt(2 mu)),
+    so the range is +-(sqrt(2 mu) + max(8, 5 sigma)), capped at the
+    `grid_for_state` half-width sqrt(2 n_eff + 1) + 8; smallest
+    power-of-two point count giving at least 16 points per fringe period
+    2 pi / sqrt(2 mu) and a spacing within the `to_quadrature` resolution
+    bound pi / sqrt(2 n_eff + 1)."""
     if mu <= 0:
         raise DomainError(f"cat grid needs mu > 0, got {mu}")
-    period = 2.0 * np.pi / np.sqrt(2.0 * mu)
-    return _symmetric_grid(np.sqrt(2.0 * mu) + 8.0,
+    if not beta > 0:
+        raise DomainError(f"cat grid needs beta > 0, got {beta}")
+    peak = np.sqrt(2.0 * mu)
+    period = 2.0 * np.pi / peak
+    # beta * peak past the double range: 5/inf = 0 (margin 8) or 5/0 = inf (the cap)
+    with np.errstate(divide="ignore", over="ignore"):
+        margin = max(8.0, 5.0 / (beta * peak))
+    return _symmetric_grid(min(peak + margin, _turning_point(n_eff) + 8.0),
                            min(period / 16.0, np.pi / _turning_point(n_eff)))
 
 

@@ -35,16 +35,17 @@ ROOT = Path(__file__).resolve().parents[2]
 MANIFEST = Path(__file__).resolve().parent / "manifest.json"
 BENCH_SEEDS = range(1, 6)
 
-# Edge cats: lost mass on the default grid and on a +-2 override, an odd
-# grid count (middle point), a subnormal spacing, a coarse grid, mu < 0,
+# Edge cats: one whose p peaks are wide against their distance from 0
+# (beta*sqrt(2 mu) = 0.085), the removed grid flags --grid-half-width and
+# --grid-count (edge/01-04 and edge/13, each a config error now), mu < 0,
 # improbable outcomes, extreme numbers, a small sampled mu and the large
-# point; squeezes on an odd-count override and far past the benchmark's
-# squeezing; feasibility reports that overflow to inf or NaN; and the
-# chain's own refusals: a negative detuning (non-positive coupling), a
-# single-pass rotation not small against T, an eta that underflows, and a
-# 4*delta**2 that underflows to 0; and the seeding edges of the outcome
-# streams: sampled cats at the largest and the smallest 64-bit seed, a
-# trajectory run whose second block holds one record, and one at seed 0.
+# point; a squeeze far past the benchmark's squeezing; feasibility reports
+# that overflow to inf or NaN; and the chain's own refusals: a negative
+# detuning (non-positive coupling), a single-pass rotation not small
+# against T, an eta that underflows, and a 4*delta**2 that underflows to 0;
+# and the seeding edges of the outcome streams: sampled cats at the largest
+# and the smallest 64-bit seed, a trajectory run whose second block holds
+# one record, and one at seed 0.
 EDGE_COMMANDS = [
     "cat --xi2 45.933626852860776 --beta 0.03197871375401286 --pr-over-beta 24.844678751740197",
     "cat --xi2 20 --beta 0.3333 --pr-over-beta 7 --grid-half-width 2 --grid-count 256",

@@ -160,6 +160,27 @@ def longdouble_quadrature_variances(state) -> tuple[float, float]:
     return mean_n + 0.5 - re_a2, mean_n + 0.5 + re_a2
 
 
+def longdouble_norm_misses(state, grid) -> tuple[float, float]:
+    """Riemann norm**2 on `grid` of an even state's p and x wavefunctions,
+    relative to its number-basis norm**2, less 1.  Every amplitude (no
+    n_eff cut) multiplies the normalized recurrence run in np.longdouble,
+    whose phi_0 seed stays normal far past |u| = 37.6, where the double
+    seed underflows."""
+    u = grid.points().astype(np.longdouble)
+    a = state.amplitudes.astype(np.longdouble)
+    p, x = np.zeros_like(u), np.zeros_like(u)
+    before, row = np.zeros_like(u), np.pi ** -0.25 * np.exp(-u * u / 2)
+    for n in range(a.size):
+        if n:
+            before, row = row, (u * np.sqrt(np.longdouble(2) / n) * row
+                                - np.sqrt(np.longdouble(n - 1) / n) * before)
+        p += a[n] * row
+        x += (-a[n] if n % 4 == 2 else a[n]) * row
+    norm2 = np.sum(a * a)
+    return tuple(float(np.sum(v * v) * np.longdouble(grid.spacing) / norm2 - 1)
+                 for v in (p, x))
+
+
 # ---------------------------------------------------------------------------
 # the squeezed-state tail mass, summed exactly
 

@@ -38,6 +38,7 @@ from spincat import (
     to_quadrature,
 )
 from spincat.cli import main as cli_main
+from spincat.state import effective_max_index
 
 XI2 = 20.0
 BETA = 1.0 / 3.0
@@ -58,7 +59,7 @@ def make_reference_cat():
 def test_criterion_1_reference_cat_reproduction():
     start = time.perf_counter()
     cat, mu_exact = make_reference_cat()
-    grid = default_cat_grid(mu_exact)
+    grid = default_cat_grid(mu_exact, BETA, effective_max_index(cat))
     exact_p = riemann_normalize(to_quadrature(cat, grid, Basis.P))
     positions, _ = detect_peaks(exact_p)
     target = np.sqrt(2.0 * mu_exact)
@@ -141,9 +142,10 @@ def test_criterion_4_small_instance_oracle():
 def test_criterion_5_fourier_hermite_consistency():
     _, mu_approx = mu_of_outcome(7.0 * BETA, BETA, XI2)
     mu_exact, _ = mu_of_outcome(7.0 * BETA, BETA, XI2)
+    n_eff = effective_max_index(make_reference_cat()[0])
     worst = 0.0
     for mu in (mu_exact, mu_approx):
-        grid = default_cat_grid(mu)
+        grid = default_cat_grid(mu, BETA, n_eff)
         params = CatApproxParams(mu=mu, beta=BETA)
         via_ft = normalized(fourier_pair(approx_p_wavefunction(params, grid).values, grid),
                             grid.spacing)
@@ -159,8 +161,9 @@ def test_criterion_6_condition_algebra_and_boundary():
     all_true = flags == (True, True, True)
 
     mu_boundary = 1.0 / BETA
+    n_eff = effective_max_index(make_reference_cat()[0])
     wf = approx_p_wavefunction(CatApproxParams(mu=mu_boundary, beta=BETA),
-                               default_cat_grid(mu_boundary))
+                               default_cat_grid(mu_boundary, BETA, n_eff))
     positions, widths = detect_peaks(wf)
     ratio = (positions[1] - positions[0]) / (widths[0] + widths[1])
     analytic = 2.0 * BETA * mu_boundary

@@ -33,7 +33,7 @@ from spincat import (
     to_quadrature,
 )
 from spincat.cat import _local_maxima
-from spincat.state import QuadratureWavefunction
+from spincat.state import QuadratureWavefunction, effective_max_index
 
 BETA = 1.0 / 3.0
 FIG_PARAMS = CatApproxParams(mu=7.0, beta=BETA)
@@ -51,12 +51,18 @@ def exact_fig_state_and_mu():
     return apply_number_qnd(squeezed, BETA, 7.0 * BETA), mu_exact
 
 
+def fig_grid(mu):
+    """default_cat_grid at mu for the beta and occupancy of the reference cat."""
+    cat, _ = exact_fig_state_and_mu()
+    return default_cat_grid(mu, BETA, effective_max_index(cat))
+
+
 # ---------------------------------------------------------------------------
 # analytic approximations
 
 
 def test_approx_p_peak_locations_and_width():
-    grid = default_cat_grid(7.0)
+    grid = fig_grid(7.0)
     wf = approx_p_wavefunction(FIG_PARAMS, grid)
     positions, widths = detect_peaks(wf)
     target = np.sqrt(14.0)
@@ -71,18 +77,18 @@ def test_approx_p_peak_locations_and_width():
 
 
 def test_approx_p_is_machine_symmetric():
-    grid = default_cat_grid(7.0)
+    grid = fig_grid(7.0)
     wf = approx_p_wavefunction(FIG_PARAMS, grid)
     assert np.array_equal(wf.values, wf.values[::-1])
 
 
 def test_approx_p_rejects_non_positive_mu():
     with pytest.raises(NoCatError):
-        approx_p_wavefunction(CatApproxParams(mu=-1.0, beta=BETA), default_cat_grid(7.0))
+        approx_p_wavefunction(CatApproxParams(mu=-1.0, beta=BETA), fig_grid(7.0))
 
 
 def test_approx_x_fringe_period_and_envelope():
-    grid = default_cat_grid(7.0)
+    grid = fig_grid(7.0)
     wf = approx_x_wavefunction(FIG_PARAMS, grid)
     period, visibility = fringe_metrics(wf)
     assert period == pytest.approx(2.0 * np.pi / np.sqrt(14.0), rel=0.02)
@@ -98,7 +104,7 @@ def test_approx_x_requires_resolved_fringes():
 
 
 def test_approx_consistency_under_fourier():
-    grid = default_cat_grid(7.0)
+    grid = fig_grid(7.0)
     via_ft = normalized(fourier_pair(approx_p_wavefunction(FIG_PARAMS, grid).values, grid),
                         grid.spacing)
     direct = approx_x_wavefunction(FIG_PARAMS, grid)
@@ -111,7 +117,7 @@ def test_approx_consistency_under_fourier():
 
 def test_detect_peaks_on_exact_state():
     cat, mu_exact = exact_fig_state_and_mu()
-    wf = riemann_normalize(to_quadrature(cat, default_cat_grid(mu_exact), Basis.P))
+    wf = riemann_normalize(to_quadrature(cat, fig_grid(mu_exact), Basis.P))
     positions, _ = detect_peaks(wf)
     target = np.sqrt(2.0 * mu_exact)
     assert len(positions) == 2
@@ -159,7 +165,7 @@ def test_local_maxima_matches_find_peaks(y, level):
 
 def test_fringe_metrics_on_exact_state():
     cat, mu_exact = exact_fig_state_and_mu()
-    wf = riemann_normalize(to_quadrature(cat, default_cat_grid(mu_exact), Basis.X))
+    wf = riemann_normalize(to_quadrature(cat, fig_grid(mu_exact), Basis.X))
     period, visibility = fringe_metrics(wf)
     assert period == pytest.approx(2.0 * np.pi / np.sqrt(2.0 * mu_exact), rel=0.05)
     assert 0.0 <= visibility <= 1.0
@@ -215,7 +221,7 @@ def test_overlap_requires_matching_layout():
 
 def test_overlap_exact_cat_with_approximation():
     cat, mu_exact = exact_fig_state_and_mu()
-    grid = default_cat_grid(mu_exact)
+    grid = fig_grid(mu_exact)
     exact_p = riemann_normalize(to_quadrature(cat, grid, Basis.P))
     approx_p = approx_p_wavefunction(CatApproxParams(mu=mu_exact, beta=BETA), grid)
     value = overlap(exact_p, approx_p)
@@ -231,7 +237,7 @@ def test_overlap_exact_cat_with_approximation():
 @pytest.mark.parametrize("mu", [3.0, 5.0, 7.0, 10.0])
 def test_peak_fringe_duality(mu):
     params = CatApproxParams(mu=mu, beta=BETA)
-    grid = default_cat_grid(mu)
+    grid = fig_grid(mu)
     positions, _ = detect_peaks(approx_p_wavefunction(params, grid))
     period, _ = fringe_metrics(approx_x_wavefunction(params, grid))
     separation = positions[1] - positions[0]
@@ -243,7 +249,7 @@ def test_threshold_coincidence_ratio():
     # the numeric detector must agree within 10%
     mu = 1.0 / BETA
     params = CatApproxParams(mu=mu, beta=BETA)
-    wf = approx_p_wavefunction(params, default_cat_grid(mu))
+    wf = approx_p_wavefunction(params, fig_grid(mu))
     positions, widths = detect_peaks(wf)
     assert len(positions) == 2
     ratio = (positions[1] - positions[0]) / (widths[0] + widths[1])
@@ -253,14 +259,14 @@ def test_threshold_coincidence_ratio():
 @pytest.mark.parametrize("mu", [2.0, 7.0, 15.0])
 def test_emitted_wavefunctions_are_normalized(mu):
     params = CatApproxParams(mu=mu, beta=BETA)
-    grid = default_cat_grid(mu)
+    grid = fig_grid(mu)
     for wf in (approx_p_wavefunction(params, grid), approx_x_wavefunction(params, grid)):
         assert riemann_norm(wf) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_compute_cat_metrics_full_and_degenerate():
     cat, mu_exact = exact_fig_state_and_mu()
-    grid = default_cat_grid(mu_exact)
+    grid = fig_grid(mu_exact)
     p_wf = riemann_normalize(to_quadrature(cat, grid, Basis.P))
     x_wf = riemann_normalize(to_quadrature(cat, grid, Basis.X))
     metrics = compute_cat_metrics(p_wf, x_wf, mu_exact, BETA, 20.0)

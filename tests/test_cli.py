@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -10,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import spincat
 from helpers import (
+    longdouble_norm_misses,
     read_number_state_csv,
     reference_number_state_csv,
     reference_wavefunction_csv,
@@ -23,8 +25,10 @@ from helpers import (
 from spincat import (
     Basis,
     CatApproxParams,
+    QuadratureGrid,
     ResolutionError,
     alpha_from_xi2,
+    analyze_cat,
     apply_number_qnd,
     approx_p_wavefunction,
     approx_x_wavefunction,
@@ -116,10 +120,12 @@ def test_squeeze_truncation_capacity_is_numeric_error(tmp_path, capsys):
     assert json.loads(err)["kind"] == "CapacityError"
 
 
-def test_squeeze_grid_that_misses_the_state_writes_no_file(tmp_path, capsys):
-    # +-3 holds 66 % of the p norm at xi2 = 20, where Delta p = 3.2.
-    code, out, err = run_cli(capsys, "squeeze", "--xi2", "20", "--grid-half-width", "3",
-                             "--grid-count", "256", "--out-dir", str(tmp_path / "out"))
+def test_squeeze_grid_that_misses_the_state_writes_no_file(tmp_path, capsys, monkeypatch):
+    # +-3 holds 66 % of the p norm at xi2 = 20, where Delta p = 3.2.  No
+    # flag sets the grid, so the grid rule is replaced in-process.
+    monkeypatch.setattr("spincat.cli.grid_for_state", lambda state: QuadratureGrid(3.0, 256))
+    code, out, err = run_cli(capsys, "squeeze", "--xi2", "20",
+                             "--out-dir", str(tmp_path / "out"))
     assert code == 3
     assert out == ""
     assert json.loads(err)["kind"] == "ResolutionError"
@@ -195,7 +201,7 @@ def test_cat_files_match_reference_writers(tmp_path, capsys):
     files, metrics = result["files"], result["metrics"]
     n_max = json.loads(Path(files["trace"]).read_text())["n_max"]
     cat = apply_number_qnd(squeezed_state_exact(20.0, n_max), beta, metrics["p_R"])
-    grid = default_cat_grid(metrics["mu_exact"], effective_max_index(cat))
+    grid = default_cat_grid(metrics["mu_exact"], beta, effective_max_index(cat))
     params = CatApproxParams(mu=metrics["mu_exact"], beta=beta)
     expected = {
         "cat_p": riemann_normalize(to_quadrature(cat, grid, Basis.P)),
@@ -238,12 +244,20 @@ def test_cat_unresolvable_outcome_flags(tmp_path, capsys):
     assert metrics["overlap_p_approx"] is None  # mu_exact < 0: no approximation
 
 
-@pytest.mark.parametrize("argv", [
-    ["--pr-over-beta", "7", "--grid-half-width", "12", "--grid-count", "128"],
-    ["--pr", "2", "--grid-half-width", "12", "--grid-count", "127"],
-    ["--pr", "0", "--grid-half-width", "5e-324", "--grid-count", "2"],
+def force_cat_grid(monkeypatch, rule):
+    """Make `rule(mu, beta, n_eff)` both grid rules of `analyze_cat`: no
+    flag sets the grid, so a grid that fails is only reachable in-process."""
+    monkeypatch.setattr("spincat.cat.default_cat_grid", rule)
+    monkeypatch.setattr("spincat.cat.grid_for_state", lambda state: rule(None, None, None))
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (["--pr-over-beta", "7"], QuadratureGrid(12.0, 128)),
+    (["--pr", "2"], QuadratureGrid(12.0, 127)),
+    (["--pr", "0"], QuadratureGrid(5e-324, 2)),
 ], ids=["too-coarse-for-the-fringes", "odd-count-too-coarse", "subnormal-spacing"])
-def test_failing_cat_writes_no_file(tmp_path, capsys, argv):
+def test_failing_cat_writes_no_file(tmp_path, capsys, monkeypatch, argv, grid):
+    force_cat_grid(monkeypatch, lambda mu, beta, n_eff: grid)
     code, out, err = run_cli(capsys, "cat", "--xi2", "20", "--beta", "0.3333", *argv,
                              "--out-dir", str(tmp_path / "out"))
     assert code == 3
@@ -252,13 +266,18 @@ def test_failing_cat_writes_no_file(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["--xi2", "45.933626852860776", "--beta", "0.03197871375401286",
-     "--pr-over-beta", "24.844678751740197"],
-    ["--xi2", "20", "--beta", "0.3333", "--pr-over-beta", "7",
-     "--grid-half-width", "2", "--grid-count", "256"],
+@pytest.mark.parametrize("argv, rule", [
+    # The former default grid, a margin of 8 past the peaks (the margin at
+    # infinite beta), holds 99.494 % of the p norm of this cat.
+    (["--xi2", "45.933626852860776", "--beta", "0.03197871375401286",
+      "--pr-over-beta", "24.844678751740197"],
+     lambda mu, beta, n_eff: default_cat_grid(mu, math.inf, n_eff)),
+    (["--xi2", "20", "--beta", "0.3333", "--pr-over-beta", "7"],
+     lambda mu, beta, n_eff: QuadratureGrid(2.0, 256)),
 ], ids=["default-grid-short-by-5e-3", "override-grid-short-by-0.98"])
-def test_cat_grid_that_misses_the_state_writes_no_file(tmp_path, capsys, argv):
+def test_cat_grid_that_misses_the_state_writes_no_file(tmp_path, capsys, monkeypatch,
+                                                       argv, rule):
+    force_cat_grid(monkeypatch, rule)
     code, out, err = run_cli(capsys, "cat", *argv, "--out-dir", str(tmp_path / "out"))
     assert code == 3
     assert out == ""
@@ -275,10 +294,65 @@ def test_default_cat_grids_pass_the_coverage_check(xi2, beta, pr_over_beta):
     n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx), 1e-10)
     cat = apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, beta * pr_over_beta)
     wavefunctions = _expand([(cat, Basis.P), (cat, Basis.X)],
-                            default_cat_grid(mu_exact, effective_max_index(cat)))
+                            default_cat_grid(mu_exact, beta, effective_max_index(cat)))
     _check_coverage(wavefunctions)
     for wf in wavefunctions:
         assert riemann_norm(wf) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def cats_with_wide_peaks(draw):
+    """(xi2, beta, p_R) of a cat whose p peaks are wider, against their
+    distance from 0, than a margin of 8 covers: xi2 log-uniform on [6, 210],
+    beta log-uniform on [1/xi2, 0.18] and mu log-uniform on
+    [1/beta, min(xi2, 0.18/beta**2)], so that beta*xi2 >= 1,
+    1/beta <= mu <= xi2 and beta*sqrt(2 mu) <= 0.6."""
+    def log_uniform(low, high):
+        return math.exp(math.log(low) + draw(st.floats(0.0, 1.0)) * math.log(high / low))
+    xi2 = log_uniform(6.0, 210.0)
+    beta = log_uniform(1.0 / xi2, 0.18)
+    mu = log_uniform(1.0 / beta, min(xi2, 0.18 / beta ** 2))
+    return xi2, beta, beta * mu - math.log((xi2 - 1.0) / (xi2 + 1.0)) / (2.0 * beta)
+
+
+@seed(15)
+@settings(max_examples=25, deadline=None)
+@given(cat=cats_with_wide_peaks())
+def test_default_cat_grid_covers_cats_with_wide_peaks(cat):
+    """On its default grid a cat that meets all three conditions and whose
+    peaks have beta*sqrt(2 mu) < 0.6 keeps its norm to 1e-12, in p and in
+    x.  The eigenfunctions are summed in long double, whose phi_0 seed does
+    not underflow on these grids, so the check sees the grid alone."""
+    state, grid, _, metrics = analyze_cat(*cat)
+    assume(metrics["resolvable"] and metrics["reachable"] and metrics["combined"])
+    assume(cat[1] * math.sqrt(2.0 * metrics["mu_exact"]) < 0.6)
+    for miss in longdouble_norm_misses(state, grid):
+        assert abs(miss) < 1e-12
+
+
+def test_cat_with_peaks_wider_than_the_former_margin_exits_0(tmp_path, capsys):
+    """beta*sqrt(2 mu) = 0.14: a margin of 8 past the peaks held 98.9 % of
+    the p norm of this cat, which then exited 3."""
+    code, out, err = run_cli(capsys, "cat", "--xi2", "200", "--beta", "0.01",
+                             "--pr-over-beta", "150", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    metrics = stdout_json(out)["metrics"]
+    separation = 2.0 * math.sqrt(2.0 * metrics["mu_exact"])
+    assert metrics["peak_separation"] == pytest.approx(separation, rel=0.01)
+    assert metrics["visibility"] > 0.99
+
+
+@pytest.mark.parametrize("xi2, beta, p_R", [
+    (200.0, 0.01, 1.5),
+    # mu_exact near 1e-10, where 5 peak sigmas would take a half-width near 1e6
+    (20.0, 1.0 / 3.0, 1e-10 / 3.0 - 1.5 * math.log(19.0 / 21.0)),
+], ids=["beta-0.01-mu-100", "beta-third-mu-1e-10"])
+def test_default_cat_grid_stays_within_its_cap(xi2, beta, p_R):
+    mu_exact, mu_approx = mu_of_outcome(p_R, beta, xi2)
+    n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx), 1e-10)
+    n_eff = effective_max_index(apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, p_R))
+    grid = default_cat_grid(mu_exact, beta, n_eff)
+    assert 0.0 < mu_exact and grid.half_width <= math.sqrt(2.0 * n_eff + 1.0) + 8.0
 
 
 def test_cat_improbable_outcome_exit_code(tmp_path, capsys):
@@ -591,8 +665,11 @@ def test_config_file_unknown_field(tmp_path, capsys):
     ["squeeze", "--xi2", "20", "--n-max", "40"],
     ["cat", "--xi2", "20", "--beta", "0.3333", "--pr-over-beta", "7", "--tail-tol", "1e-4"],
     ["trajectories", "--xi2", "20", "--beta", "0.5", "--count", "10", "--tail-tol", "1e-4"],
+    ["squeeze", "--xi2", "20", "--grid-half-width", "9", "--grid-count", "64"],
+    ["cat", "--xi2", "20", "--beta", "0.3333", "--pr-over-beta", "7",
+     "--grid-half-width", "9", "--grid-count", "64"],
 ], ids=["feasibility-seed", "feasibility-grid", "squeeze-seed", "trajectories-grid",
-        "squeeze-n-max", "cat-tail-tol", "trajectories-tail-tol"])
+        "squeeze-n-max", "cat-tail-tol", "trajectories-tail-tol", "squeeze-grid", "cat-grid"])
 def test_flags_of_other_commands_exit_config(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
     assert code == 2
@@ -609,6 +686,9 @@ def test_flags_of_other_commands_exit_config(tmp_path, capsys, argv):
     ("squeeze", {"xi2": 20.0, "tail_tol": 1e-4}),
     ("cat", {"xi2": 20.0, "beta": 0.3333, "pr_over_beta": 7.0, "tail_tol": 1e-4}),
     ("trajectories", {"xi2": 20.0, "beta": 0.5, "count": 10, "tail_tol": 1e-4}),
+    ("squeeze", {"xi2": 20.0, "grid_half_width": 9.0, "grid_count": 64}),
+    ("cat", {"xi2": 20.0, "beta": 0.3333, "pr_over_beta": 7.0, "grid_half_width": 9.0}),
+    ("cat", {"xi2": 20.0, "beta": 0.3333, "pr_over_beta": 7.0, "grid_count": 64}),
 ])
 def test_config_fields_of_other_commands_exit_config(tmp_path, capsys, command, fields):
     config = tmp_path / "run.json"
@@ -623,7 +703,7 @@ def test_config_fields_of_other_commands_exit_config(tmp_path, capsys, command, 
 @pytest.mark.parametrize("argv, fields", [
     (["cat", "--xi2", "20", "--beta", "0.3333", "--seed", "7"], {"sample": "no"}),
     (["trajectories", "--xi2", "20", "--beta", "0.5"], {"count": 2.7}),
-    (["squeeze", "--xi2", "2", "--grid-half-width", "9"], {"grid_count": 512.9}),
+    (["trajectories", "--xi2", "20", "--beta", "0.5", "--count", "10"], {"bins": 51.9}),
     (["feasibility", "--kappa0", "1e4", "--gamma", "1", "--delta", "100",
       "--n-atoms", "1.7", "--n-photons", "32000"], {}),
     (["cat", "--xi2", "20", "--beta", "0.3333", "--sample"], {"seed": True}),
@@ -632,7 +712,7 @@ def test_config_fields_of_other_commands_exit_config(tmp_path, capsys, command, 
     (["feasibility", "--preset", "bec-cavity", "--kappa0", "-5"], {}),
     (["squeeze"], {"xi2": "20"}),
     (["squeeze", "--xi2", "20"], {"config": "x"}),
-], ids=["sample-string", "count-fraction", "grid-count-fraction", "n-atoms-fraction",
+], ids=["sample-string", "count-fraction", "bins-fraction", "n-atoms-fraction",
         "seed-bool", "preset-list", "out-dir-number", "preset-and-kappa0",
         "xi2-string", "config-in-config"])
 def test_mistyped_values_exit_config(tmp_path, capsys, monkeypatch, argv, fields):
@@ -696,7 +776,7 @@ def test_extreme_numbers_exit_numeric(tmp_path, capsys, argv, kind):
 
 
 @pytest.mark.parametrize("argv, prefix", [
-    (["squeeze", "--xi2", "20", "--grid-half-width", "9"], "config error: "),
+    (["cat", "--xi2", "20", "--beta", "0.3333"], "config error: "),
     (["squeeze", "--xi2", "20", "--frobnicate", "1"], "usage: "),
 ], ids=["config-rule", "argparse"])
 def test_config_errors_print_plain_text(tmp_path, capsys, argv, prefix):
@@ -711,10 +791,10 @@ def test_config_errors_print_plain_text(tmp_path, capsys, argv, prefix):
 
 
 @pytest.mark.parametrize("argv, name, bound", [
-    (["squeeze", "--xi2", "2", "--grid-half-width", "5"], "grid_count", 2 ** 20),
+    (["cat", "--xi2", "20", "--beta", "0.3333", "--sample"], "seed", 2 ** 64 - 1),
     (["trajectories", "--xi2", "20", "--beta", "0.5", "--count", "10"], "bins", 2 ** 20),
     (["trajectories", "--xi2", "20", "--beta", "0.5"], "count", 10 ** 7),
-], ids=["argv1-grid_count-1048576", "argv2-bins-1048576", "argv3-count-10000000"])
+], ids=["argv1-seed-18446744073709551615", "argv2-bins-1048576", "argv3-count-10000000"])
 @pytest.mark.parametrize("past", ["bound+1", "1e20"])
 def test_sizes_past_their_bound_exit_config(tmp_path, capsys, argv, name, bound, past):
     value = str(bound + 1) if past == "bound+1" else "1e20"
@@ -803,7 +883,7 @@ def test_failing_first_write_removes_the_out_dir_it_created(tmp_path, capsys, le
 # Numbers drawn for these fields are capped so that a run that succeeds
 # stays cheap: they size arrays, files and run times, and the upper bounds
 # in FIELDS still allow sizes that take seconds to minutes a run.
-FUZZ_CAPS = {"xi2": 30.0, "count": 40, "bins": 40, "grid_count": 400}
+FUZZ_CAPS = {"xi2": 30.0, "count": 40, "bins": 40}
 
 FUZZ_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(),
@@ -949,21 +1029,3 @@ def test_cli_import_leaves_scipy_out():
 
 def test_unknown_command_exits_config(capsys):
     assert main(["frobnicate"]) == 2
-
-
-def test_grid_override(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "cat", "--xi2", "20", "--beta", "0.3333",
-                           "--pr-over-beta", "7", "--out-dir", str(tmp_path),
-                           "--grid-half-width", "14", "--grid-count", "512")
-    assert code == 0
-    lines = (tmp_path / "cat_p.csv").read_text().splitlines()
-    assert len(lines) == 513
-    first = float(lines[1].split(",")[0])
-    assert first == pytest.approx(-14.0, abs=1e-9)
-
-
-def test_grid_override_requires_both(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "squeeze", "--xi2", "2",
-                           "--grid-half-width", "9", "--out-dir", str(tmp_path))
-    assert code == 2
-    assert "grid" in err

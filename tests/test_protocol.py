@@ -37,7 +37,7 @@ from spincat import (
     squeezed_state_stirling,
 )
 from spincat import protocol
-from spincat.state import TAIL_TOL, _TRUNCATION_CAP
+from spincat.state import TAIL_TOL, _TRUNCATION_CAP, effective_max_index
 
 BETA_FIG = 1.0 / 3.0
 
@@ -316,7 +316,7 @@ def test_parity_premise_of_the_mirrored_expansion(xi2, beta, p_r, odd):
     assume(xi2 > 1.0)
     mu, _ = mu_of_outcome(p_r, beta, xi2)
     assume(mu > 0.0)
-    grid = default_cat_grid(mu)
+    grid = default_cat_grid(mu, beta, effective_max_index(states[0]))
     grid = QuadratureGrid(grid.half_width, grid.count + odd)
     params = CatApproxParams(mu=mu, beta=beta)
     for wf in (approx_p_wavefunction(params, grid), approx_x_wavefunction(params, grid)):

@@ -1,5 +1,5 @@
 """The README's command-line examples run as written, and its command-line
-section names only flags the commands take."""
+section names every flag the commands take and no other."""
 
 import contextlib
 import io
@@ -39,11 +39,23 @@ def test_readme_command_runs(tmp_path, monkeypatch, argv):
     assert json.loads(stdout.getvalue())["command"] == argv[0]
 
 
-def test_readme_names_only_flags_of_some_command():
-    """Every --flag in the "Command line" section, up to the next `## `
-    heading, is a FIELDS name written as a flag, --config or --help."""
+def command_line_flags():
+    """(the --flags the "Command line" section names, up to the next `## `
+    heading; every FIELDS name of every command written as a flag)."""
     section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
     flags = {"--" + name.replace("_", "-") for table in FIELDS.values() for name in table}
+    return named, flags
+
+
+def test_readme_names_only_flags_of_some_command():
+    """Every --flag in the "Command line" section is a FIELDS name written
+    as a flag, --config or --help."""
+    named, flags = command_line_flags()
     assert named
     assert named - flags - {"--config", "--help"} == set()
+
+
+def test_readme_names_every_flag_of_every_command():
+    named, flags = command_line_flags()
+    assert flags - named == set()

@@ -3,7 +3,9 @@ command line reports, and use only public spincat names."""
 
 import ast
 import csv
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from spincat import default_cat_grid
 from spincat.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,16 +41,34 @@ def run_script(cwd, name, *args):
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_sweep_refuses_a_point_whose_grid_loses_mass(tmp_path):
-    # mu_exact 3.55 on the default grid: the p grid holds 99.494 % of the norm.
-    mu = "3.552705833669105"
-    run = run_script(tmp_path, "cat_profile_sweep.py", "--xi2", "45.933626852860776",
-                     "--beta", "0.03197871375401286", "--mu-min", mu, "--mu-max", mu,
-                     "--steps", "1")
+def test_sweep_refuses_a_point_whose_grid_loses_mass(tmp_path, capsys, monkeypatch):
+    """A spincat error ends the sweep with one stderr line and exit 3."""
+    # xi2 = 5000 needs a truncation past 4096.
+    run = run_script(tmp_path, "cat_profile_sweep.py", "--xi2", "5000", "--steps", "1")
     assert run.returncode == 3
     assert run.stdout == ""
-    assert run.stderr.startswith("error: ResolutionError: ")
+    assert run.stderr.startswith("error: CapacityError: ")
     assert run.stderr.count("\n") == 1
+    # No flag sets the grid, so the grid rule is replaced in-process by the
+    # former margin of 8 past the peaks (the margin at infinite beta): at
+    # mu_exact 3.55 that p grid holds 99.494 % of the norm.
+    spec = importlib.util.spec_from_file_location("sweep", ROOT / "scripts" / "cat_profile_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr("spincat.cat.default_cat_grid",
+                        lambda mu, beta, n_eff: default_cat_grid(mu, math.inf, n_eff))
+    mu = "3.552705833669105"
+    monkeypatch.setattr(sys, "argv", [
+        "cat_profile_sweep.py", "--xi2", "45.933626852860776", "--beta",
+        "0.03197871375401286", "--mu-min", mu, "--mu-max", mu, "--steps", "1",
+        "--csv", str(tmp_path / "sweep.csv")])
+    with pytest.raises(SystemExit) as exited:
+        sweep.main()
+    assert exited.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ResolutionError: ") and err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_rows_are_the_cat_command_metrics(tmp_path, capsys):

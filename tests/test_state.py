@@ -354,8 +354,9 @@ def oracle_grid_for_state(state):
     return half, max(_doubled(2, lambda c: c < 1.0 + 2.0 * half / (period / 16)), 256)
 
 
-def oracle_default_cat_grid(mu, n_eff):
-    half = np.sqrt(2.0 * mu) + 8.0
+def oracle_default_cat_grid(mu, beta, n_eff):
+    margin = max(8.0, 5.0 / (beta * np.sqrt(2.0 * mu)))
+    half = min(np.sqrt(2.0 * mu) + margin, np.sqrt(2.0 * n_eff + 1.0) + 8.0)
     period = 2.0 * np.pi / np.sqrt(2.0 * mu)
     spacing = min(period / 16.0, np.pi / np.sqrt(2.0 * n_eff + 1.0))
     return half, _doubled(2, lambda c: c < 1.0 + 2.0 * half / spacing)
@@ -371,9 +372,11 @@ def test_grid_sizes_match_the_former_formulas():
         grid = grid_for_state(state)
         assert (grid.half_width, grid.count) == oracle_grid_for_state(state)
     for mu in SWEEP_MU:
-        for n_eff in (0, 7, 40, 230, 1000, 4096):
-            grid = default_cat_grid(mu, n_eff)
-            assert (grid.half_width, grid.count) == oracle_default_cat_grid(mu, n_eff)
+        for beta in (0.005, 1.0 / 3.0):
+            for n_eff in (0, 7, 40, 230, 1000, 4096):
+                grid = default_cat_grid(mu, beta, n_eff)
+                assert (grid.half_width, grid.count) == \
+                    oracle_default_cat_grid(mu, beta, n_eff)
 
 
 def test_grid_points_are_antisymmetric():
@@ -405,6 +408,12 @@ def test_grid_validation():
             QuadratureGrid(half_width, 16)
     with pytest.raises(DomainError):
         QuadratureGrid(1.0, 1)
+    for mu, beta in ((0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, -0.5), (1.0, np.nan)):
+        with pytest.raises(DomainError):
+            default_cat_grid(mu, beta, 40)
+    # beta*sqrt(2 mu) past the double range: margin 8, or the cap
+    assert default_cat_grid(1.0, 1e308, 40) == default_cat_grid(1.0, np.inf, 40)
+    assert default_cat_grid(1e-300, 1e-300, 40).half_width == np.sqrt(81.0) + 8.0
 
 
 def test_random_source_reproducible():
