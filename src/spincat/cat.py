@@ -19,6 +19,7 @@ moment of the probability density.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -300,7 +301,8 @@ def analyze_cat(xi2: float, beta: float, p_R: float):
     """(cat_state, grid, wavefunctions, metrics) of the cat that the outcome
     p_R leaves, on `default_cat_grid` (on `grid_for_state` when mu_exact <=
     0).  wavefunctions are (name, wavefunction) pairs, the approximations
-    only for mu_exact > 0.  An improbable outcome's error carries its
+    only for mu_exact > 0, and the x one only where its norm does not
+    underflow to 0.  An improbable outcome's error carries its
     `density`; coverage is checked last."""
     mu_exact, mu_approx = mu_of_outcome(p_R, beta, xi2)
     n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx, 0.0), TAIL_TOL)
@@ -320,8 +322,11 @@ def analyze_cat(xi2: float, beta: float, p_R: float):
     if mu_exact > 0.0:
         params = CatApproxParams(mu=mu_exact, beta=beta)
         approx_p = approx_p_wavefunction(params, grid)
-        wavefunctions += [("cat_approx_p", approx_p),
-                          ("cat_approx_x", approx_x_wavefunction(params, grid))]
+        wavefunctions.append(("cat_approx_p", approx_p))
+        # At a tiny mu the x envelope is so narrow against the spacing that
+        # the squares of its values underflow: with no norm, it is left out.
+        with contextlib.suppress(DegenerateStateError):
+            wavefunctions.append(("cat_approx_x", approx_x_wavefunction(params, grid)))
         overlap_p = overlap(exact_p, approx_p)
 
     metrics = asdict(compute_cat_metrics(exact_p, exact_x, mu_exact, beta, xi2))

@@ -366,8 +366,7 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
                 mu_exact, cfg.beta, cfg.xi2)
             p_r_values[start:start + size] = p_r
             resolvable_counts.append(int(np.count_nonzero(resolvable)))
-            yield io.format_trajectory_lines(start, p_p, p_r, mu_exact, mu_approx,
-                                             resolvable, reachable, combined)
+            yield start, p_p, p_r, mu_exact, mu_approx, resolvable, reachable, combined
         # Binned before the stream ends, so a failure here leaves no file.
         try:
             histogram.extend(np.histogram(p_r_values, bins=cfg.bins))

@@ -9,18 +9,26 @@ state on a grid, all of which are symmetric), and grid points are
 bitwise antisymmetric, so only the upper half of each column is
 formatted; the lower half reuses that text, so the bytes are those of
 formatting every point.
+
+Every writer hands `atomic_write_text` its text in chunks of at most
+_CHUNK_ROWS rows, so a command's text buffers do not grow with the size
+of its output.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError
 from .state import NumberState, QuadratureGrid, QuadratureWavefunction
 
+
+# The most rows a writer formats and hands on at once.
+_CHUNK_ROWS = 1024
 
 # Row templates applied to zipped columns of Python numbers; "%.17g" gives
 # the same text as f"{x:.17g}", faster.
@@ -64,10 +72,23 @@ def atomic_write_text(path: str, chunks) -> None:
         raise
 
 
+def _chunks(template: str, *columns: np.ndarray):
+    """The rows `template % row` over the zipped equal-length `columns`, at
+    most _CHUNK_ROWS rows a chunk.  Each chunk is one `%` over a flat tuple
+    of Python numbers, which gives the same text as one `%` per row."""
+    width, size = len(columns), len(columns[0])
+    for start in range(0, size, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, size)
+        flat = [None] * (width * (stop - start))
+        for j, column in enumerate(columns):
+            flat[j::width] = column[start:stop].tolist()
+        yield (template * (stop - start)) % tuple(flat)
+
+
 def write_number_state_csv(state: NumberState, path: str) -> None:
     amps = state.amplitudes
-    rows = [_STATE_ROW % row for row in zip(range(amps.size), amps.tolist())]
-    atomic_write_text(path, ("n,re,im\n", "".join(rows)))
+    atomic_write_text(path, chain(("n,re,im\n",),
+                                  _chunks(_STATE_ROW, np.arange(amps.size), amps)))
 
 
 def _palindrome_half(values: np.ndarray) -> int:
@@ -111,35 +132,35 @@ def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
         abs2 = [x ** 2 for x in upper]
     tails = [_WAVEFUNCTION_TAIL % row for row in zip(upper.tolist(), abs2)]
     tails = tails[::-1][:half] + tails
-    rows = map(str.__add__, coords, tails)
-    atomic_write_text(path, ("coord,re,im,abs2\n", "".join(rows)))
+    atomic_write_text(path, chain(("coord,re,im,abs2\n",), (
+        "".join(map(str.__add__, coords[i:i + _CHUNK_ROWS], tails[i:i + _CHUNK_ROWS]))
+        for i in range(0, wf.grid.count, _CHUNK_ROWS))))
 
 
 def write_json(obj, path: str) -> None:
     atomic_write_text(path, (json.dumps(obj, indent=2, sort_keys=True), "\n"))
 
 
-def write_json_lines(chunks, path: str) -> None:
-    """Write already formatted JSON lines, such as the blocks of
-    `format_trajectory_lines`, streaming one chunk at a time."""
-    atomic_write_text(path, chunks)
+def write_json_lines(blocks, path: str) -> None:
+    """Write the trajectory records of `blocks`, an iterable (consumed
+    once) of tuples (first_index, p_P, p_R, mu_exact, mu_approx,
+    resolvable, reachable, combined): equal-length arrays of the outcomes,
+    mu values and condition flags of records first_index, first_index+1,
+    ..., and the bool `combined` they share.  Each line equals
+    json.dumps(record, sort_keys=True)."""
+    def chunks():
+        for first, p_P, p_R, mu_exact, mu_approx, resolvable, reachable, combined in blocks:
+            heads = np.array([_TRAJECTORY_HEAD % (_JSON_BOOL[combined], reach, resolve)
+                              for reach in _JSON_BOOL for resolve in _JSON_BOOL], dtype=object)
+            yield from _chunks(_TRAJECTORY_ROW, heads[2 * reachable + resolvable],
+                               np.arange(first, first + len(p_P)),
+                               mu_approx, mu_exact, p_P, p_R)
 
-
-def format_trajectory_lines(first_index: int, p_P, p_R, mu_exact, mu_approx,
-                            resolvable, reachable, combined: bool) -> str:
-    """JSON lines of the trajectory records first_index, first_index+1, ...
-    from equal-length arrays of outcomes, mu values and condition flags;
-    each line equals json.dumps(record, sort_keys=True)."""
-    heads = [_TRAJECTORY_HEAD % (_JSON_BOOL[combined], reach, resolve)
-             for reach in _JSON_BOOL for resolve in _JSON_BOOL]
-    head_index = (2 * reachable + resolvable).tolist()
-    rows = zip(map(heads.__getitem__, head_index),
-               range(first_index, first_index + len(head_index)),
-               mu_approx.tolist(), mu_exact.tolist(), p_P.tolist(), p_R.tolist())
-    return "".join([_TRAJECTORY_ROW % row for row in rows])
+    atomic_write_text(path, chunks())
 
 
 def write_histogram_csv(edges: np.ndarray, counts: np.ndarray, path: str) -> None:
-    edges = np.asarray(edges).tolist()
-    rows = [_HISTOGRAM_ROW % row for row in zip(edges[:-1], edges[1:], map(int, counts))]
-    atomic_write_text(path, ("bin_left,bin_right,count\n", "".join(rows)))
+    edges = np.asarray(edges)
+    atomic_write_text(path, chain(("bin_left,bin_right,count\n",),
+                                  _chunks(_HISTOGRAM_ROW, edges[:-1], edges[1:],
+                                          np.asarray(counts))))

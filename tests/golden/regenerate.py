@@ -45,7 +45,8 @@ BENCH_SEEDS = range(1, 6)
 # against T, an eta that underflows, and a 4*delta**2 that underflows to 0;
 # and the seeding edges of the outcome streams: sampled cats at the largest
 # and the smallest 64-bit seed, a trajectory run whose second block holds
-# one record, and one at seed 0.
+# one record, and one at seed 0; a cat of mu_exact 2.2e-4, whose approximate
+# x wavefunction underflows to no norm and is not written.
 EDGE_COMMANDS = [
     "cat --xi2 45.933626852860776 --beta 0.03197871375401286 --pr-over-beta 24.844678751740197",
     "cat --xi2 20 --beta 0.3333 --pr-over-beta 7 --grid-half-width 2 --grid-count 256",
@@ -73,6 +74,7 @@ EDGE_COMMANDS = [
     "cat --xi2 20 --beta 0.3333 --sample --seed 0",
     "trajectories --xi2 20 --beta 0.3333 --count 8193 --seed 18446744073709551615",
     "trajectories --xi2 1.5 --beta 2 --count 3 --seed 0",
+    "cat --xi2 20 --beta 0.3333333333333333 --pr 0.1502",
 ]
 
 

@@ -7,6 +7,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from helpers import (
 from spincat import (
     Basis,
     CatApproxParams,
+    DegenerateStateError,
     QuadratureGrid,
     ResolutionError,
     alpha_from_xi2,
@@ -46,6 +48,7 @@ from spincat import (
     to_quadrature,
 )
 from spincat.cli import FIELDS, TRAJECTORY_BLOCK, _check_coverage, build_parser, main
+from spincat.io import _CHUNK_ROWS
 from spincat.state import HERMITE_N_BUDGET, _expand, effective_max_index, riemann_norm
 
 
@@ -342,6 +345,29 @@ def test_cat_with_peaks_wider_than_the_former_margin_exits_0(tmp_path, capsys):
     assert metrics["visibility"] > 0.99
 
 
+def test_cat_of_tiny_mu_leaves_out_the_approximate_x_file(tmp_path, capsys):
+    """mu_exact 2.2e-4: the squares of the approximate x envelope underflow
+    at every point of the default grid.  That file and its key are left
+    out; the exact outputs and the p approximation are written."""
+    beta = 1.0 / 3.0
+    code, out, err = run_cli(capsys, "cat", "--xi2", "20", "--beta", repr(beta),
+                             "--pr", "0.1502", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    result = stdout_json(out)
+    metrics = result["metrics"]
+    assert 0.0 < metrics["mu_exact"] < 1e-3
+    assert metrics["overlap_p_approx"] is not None
+    assert sorted(result["files"]) == ["cat_approx_p", "cat_p", "cat_state", "cat_x",
+                                       "metrics", "trace"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        os.path.basename(path) for path in result["files"].values())
+    n_max = json.loads(Path(result["files"]["trace"]).read_text())["n_max"]
+    cat = apply_number_qnd(squeezed_state_exact(20.0, n_max), beta, metrics["p_R"])
+    grid = default_cat_grid(metrics["mu_exact"], beta, effective_max_index(cat))
+    with pytest.raises(DegenerateStateError):
+        approx_x_wavefunction(CatApproxParams(mu=metrics["mu_exact"], beta=beta), grid)
+
+
 @pytest.mark.parametrize("xi2, beta, p_R", [
     (200.0, 0.01, 1.5),
     # mu_exact near 1e-10, where 5 peak sigmas would take a half-width near 1e6
@@ -443,11 +469,14 @@ def test_trajectories_prefix_does_not_depend_on_count(tmp_path, capsys,
     assert short == long[:10]
 
 
-def test_trajectories_lines_match_scalar_records(two_block_trajectories):
-    out_dir, result = two_block_trajectories
-    beta, xi2, seed = 1.0 / 3.0, 20.0, 9
+def assert_scalar_records(out_dir, result, seed, checked):
+    """Every line of out_dir's trajectories.jsonl is json.dumps of its
+    record, the records at `checked` follow from the seed by the scalar
+    functions, and the summary follows from the records."""
+    beta, xi2 = result["summary"]["beta"], result["summary"]["xi2"]
     lines = (out_dir / "trajectories.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
+    assert len(records) == result["summary"]["count"]
     for line, record in zip(lines, records):
         assert json.dumps(record, sort_keys=True) == line
 
@@ -457,11 +486,10 @@ def test_trajectories_lines_match_scalar_records(two_block_trajectories):
     state = squeezed_state_exact(xi2, result["summary"]["n_max"])
     alpha = alpha_from_xi2(xi2)
     blocks = []
-    for b in (0, 1):
+    for b in range(-(-len(records) // TRAJECTORY_BLOCK)):
         generator = np.random.default_rng([seed, b])
         blocks.append((sample_first_outcome(alpha, generator, TRAJECTORY_BLOCK),
                        sample_second_outcome(state, beta, generator, TRAJECTORY_BLOCK)))
-    checked = list(range(200)) + list(range(TRAJECTORY_BLOCK - 5, len(records)))
     for i in checked:
         record = records[i]
         block, position = divmod(i, TRAJECTORY_BLOCK)
@@ -479,6 +507,38 @@ def test_trajectories_lines_match_scalar_records(two_block_trajectories):
     p_r = np.array([r["p_R"] for r in records])
     assert result["summary"]["p_R_mean"] == float(p_r.mean())
     assert result["summary"]["p_R_std"] == float(p_r.std())
+
+
+def test_trajectories_lines_match_scalar_records(two_block_trajectories):
+    out_dir, result = two_block_trajectories
+    assert_scalar_records(out_dir, result, 9, list(range(200)) + list(
+        range(TRAJECTORY_BLOCK - 5, TRAJECTORY_BLOCK + 10)))
+
+
+def test_trajectories_at_chunk_edges_match_scalar_records(tmp_path):
+    """8192 + 1808 records: the writer's chunk edges fall inside both
+    blocks.  A second run of the same command, with the first one's
+    imports and caches warm, allocates less than 2 MiB at its peak: the
+    text is formatted and written in chunks, while the 10,000 lines take
+    1.9 MiB."""
+    argv = ["trajectories", "--xi2", "20", "--beta", repr(1.0 / 3.0),
+            "--count", str(TRAJECTORY_BLOCK + 1808), "--seed", "5",
+            "--out-dir", str(tmp_path)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    edges = [start + k * _CHUNK_ROWS for start in (0, TRAJECTORY_BLOCK) for k in range(8)]
+    checked = sorted({i for edge in edges for i in (edge - 1, edge, edge + 1)
+                      if 0 <= i < TRAJECTORY_BLOCK + 1808})
+    result = json.loads(stdout.getvalue().splitlines()[-1])
+    assert_scalar_records(tmp_path, result, 5, checked)
 
 
 def test_trajectories_resolvable_fraction_matches_mixture_mass(tmp_path, capsys):

@@ -18,10 +18,11 @@ from helpers import (
 from spincat import Basis, NumberState, QuadratureGrid, squeezed_state_exact, to_quadrature
 from spincat.errors import DomainError
 from spincat.io import (
+    _CHUNK_ROWS,
     atomic_write_text,
     format_coords,
-    format_trajectory_lines,
     write_histogram_csv,
+    write_json_lines,
     write_number_state_csv,
     write_wavefunction_csv,
 )
@@ -35,6 +36,10 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
            -1.7976931348623157e308]
 
 GRIDS = [QuadratureGrid(6.0, 2), QuadratureGrid(1e-300, 7), QuadratureGrid(1e300, 9)]
+
+# Row counts at the edges of the writers' chunks.
+C = _CHUNK_ROWS
+CHUNK_EDGES = [1, C - 1, C, C + 1, 2 * C + 1]
 
 
 def written(tmp_path, write, *args, **kwargs) -> bytes:
@@ -124,7 +129,10 @@ def nan_with_payload(payload: int) -> float:
     return float(np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(float)[0])
 
 
-@pytest.mark.parametrize("count", [2, 3, 8, 9, 361, 362])
+@pytest.mark.parametrize("count", [2, 3, 8, 9, 361, 362,
+                                   # each half, or the whole file, at a chunk edge
+                                   C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1,
+                                   2 * C + 2, 2 * C + 3, 4 * C + 3])
 def test_palindromic_wavefunction_csv_bytes(tmp_path, count):
     grid = QuadratureGrid(6.5, count)
     rng = np.random.default_rng(count)
@@ -196,7 +204,8 @@ def test_wavefunction_csv_rejects_coords_of_another_grid(tmp_path):
 def test_number_state_csv_bytes_adversarial(tmp_path):
     for amps in (adversarial_values(len(SPECIAL)), -adversarial_values(len(SPECIAL)),
                  complex_array(SPECIAL, np.zeros(len(SPECIAL))),
-                 complex_array(SPECIAL, np.full(len(SPECIAL), -0.0)), np.array([1.0])):
+                 complex_array(SPECIAL, np.full(len(SPECIAL), -0.0)), np.array([1.0]),
+                 *(adversarial_values(rows)[::-1] for rows in CHUNK_EDGES)):
         state = NumberState(amps)
         assert written(tmp_path, write_number_state_csv, state) == \
             reference_number_state_csv(state).encode()
@@ -205,8 +214,11 @@ def test_number_state_csv_bytes_adversarial(tmp_path):
 def test_histogram_csv_bytes_adversarial(tmp_path):
     edges = np.array(SPECIAL)
     counts = np.array([0, 1, 2 ** 62, 7] * len(SPECIAL))[:edges.size - 1]
-    for e, c in ((edges, counts), (np.sort(edges), counts[::-1]),
-                 (np.histogram([0.1, 0.2, 0.2], bins=3)[1], np.array([1, 0, 2]))):
+    cases = [(edges, counts), (np.sort(edges), counts[::-1]),
+             (np.histogram([0.1, 0.2, 0.2], bins=3)[1], np.array([1, 0, 2]))]
+    cases += [(adversarial_values(rows + 1), np.resize(counts, rows))
+              for rows in CHUNK_EDGES]
+    for e, c in cases:
         assert written(tmp_path, write_histogram_csv, e, c) == \
             reference_histogram_csv(e, c).encode()
 
@@ -236,19 +248,24 @@ def test_atomic_write_rejects_a_bare_str(tmp_path):
 
 
 @pytest.mark.parametrize("combined", [False, True])
-def test_trajectory_lines_equal_json_dumps(combined):
+def test_trajectory_lines_equal_json_dumps(tmp_path, combined):
+    """Blocks of 40 records and of each chunk edge, written one after the
+    other, from index 2**40 on."""
     finite = np.array([v for v in SPECIAL if np.isfinite(v)])
-    p_p = np.resize(finite, 40)
-    p_r = np.resize(finite[::-1], 40)
-    mu_exact, mu_approx = np.resize(finite[3:], 40), -p_r
-    resolvable = np.arange(40) % 2 == 0
-    reachable = np.arange(40) % 4 < 2
-    text = format_trajectory_lines(2 ** 40, p_p, p_r, mu_exact, mu_approx,
-                                   resolvable, reachable, combined)
-    expected = "".join(json.dumps({
-        "index": 2 ** 40 + i, "p_P": p_p[i], "p_R": p_r[i],
-        "mu_exact": mu_exact[i], "mu_approx": mu_approx[i],
-        "flags": {"resolvable": bool(resolvable[i]), "reachable": bool(reachable[i]),
-                  "combined": combined},
-    }, sort_keys=True) + "\n" for i in range(40))
-    assert text == expected
+    blocks, expected, first = [], [], 2 ** 40
+    for size in [40, *CHUNK_EDGES]:
+        p_p = np.resize(finite, size)
+        p_r = np.resize(finite[::-1], size)
+        mu_exact, mu_approx = np.resize(finite[3:], size), -p_r
+        resolvable = np.arange(size) % 2 == 0
+        reachable = np.arange(size) % 4 < 2
+        blocks.append((first, p_p, p_r, mu_exact, mu_approx, resolvable, reachable,
+                       combined))
+        expected += [json.dumps({
+            "index": first + i, "p_P": p_p[i], "p_R": p_r[i],
+            "mu_exact": mu_exact[i], "mu_approx": mu_approx[i],
+            "flags": {"resolvable": bool(resolvable[i]),
+                      "reachable": bool(reachable[i]), "combined": combined},
+        }, sort_keys=True) + "\n" for i in range(size)]
+        first += size
+    assert written(tmp_path, write_json_lines, iter(blocks)) == "".join(expected).encode()
