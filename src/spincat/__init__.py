@@ -18,7 +18,6 @@ from .errors import (
     DegenerateStateError,
     DomainError,
     ImprobableOutcomeError,
-    NoCatError,
     NoFringeError,
     ResolutionError,
     SpinCatError,

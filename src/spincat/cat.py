@@ -28,11 +28,10 @@ from .errors import (
     DegenerateStateError,
     DomainError,
     ImprobableOutcomeError,
-    NoCatError,
     NoFringeError,
-    ResolutionError,
 )
 from .protocol import (
+    _squeezed_qnd_log_norm,
     apply_number_qnd,
     mu_of_outcome,
     outcome_density_second,
@@ -69,8 +68,6 @@ class CatApproxParams:
     def __post_init__(self):
         if not (np.isfinite(self.beta * self.beta) and self.beta > 0.0):
             raise DomainError(f"beta must be positive with a finite square, got {self.beta}")
-        if not np.isfinite(self.mu):
-            raise DomainError(f"mu must be finite, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +84,8 @@ class CatMetrics:
 
 
 def approx_p_wavefunction(params: CatApproxParams, grid: QuadratureGrid) -> QuadratureWavefunction:
-    """Two-Gaussian approximation in p, normalized on the grid; exactly
-    even, since every grid is symmetric by construction."""
-    if params.mu <= 0.0:
-        raise NoCatError(f"no cat for mu <= 0 (got mu={params.mu})")
+    """Two-Gaussian approximation in p for mu > 0, normalized on the grid;
+    exactly even, since every grid is symmetric by construction."""
     p = grid.points()
     s = np.sqrt(2.0 * params.mu)
     c = params.beta ** 2 * params.mu
@@ -99,16 +94,9 @@ def approx_p_wavefunction(params: CatApproxParams, grid: QuadratureGrid) -> Quad
 
 
 def approx_x_wavefunction(params: CatApproxParams, grid: QuadratureGrid) -> QuadratureWavefunction:
-    """Envelope-times-cosine approximation in x, normalized on the grid."""
-    if params.mu <= 0.0:
-        raise NoCatError(f"no cat for mu <= 0 (got mu={params.mu})")
+    """Envelope-times-cosine approximation in x for mu > 0, normalized on
+    the grid, which resolves the fringe period 2 pi / sqrt(2 mu)."""
     s = np.sqrt(2.0 * params.mu)
-    period = 2.0 * np.pi / s
-    if grid.spacing > period / 16.0:
-        raise ResolutionError(
-            f"grid spacing {grid.spacing:.4g} gives fewer than 16 points per "
-            f"fringe period {period:.4g}"
-        )
     x = grid.points()
     values = np.exp(-x * x / (4.0 * params.beta ** 2 * params.mu)) * np.cos(x * s)
     return riemann_normalize(QuadratureWavefunction(grid, values, Basis.X))
@@ -148,18 +136,10 @@ def detect_peaks(wf: QuadratureWavefunction) -> tuple[list[float], list[float]]:
     """Local maxima of |psi|^2 above 5% of the global maximum, with a
     width estimate from the local second moment of the density between
     the surrounding valleys (sqrt(2)-scaled to the amplitude-sigma
-    convention)."""
-    if wf.basis is not Basis.P:
-        raise DomainError("peak detection operates on p-basis wavefunctions")
+    convention), of a p-basis wavefunction; none where no interior
+    maximum rises that high."""
     dens = wf.density()
-    peak_height = dens.max()
-    if peak_height == 0.0:
-        raise DegenerateStateError("all-zero wavefunction has no peaks")
-    idx = _local_maxima(dens, height=PEAK_THRESHOLD * peak_height)
-    if idx.size == 0:
-        raise DegenerateStateError(
-            f"no interior density peak above {PEAK_THRESHOLD:.0%} of the maximum"
-        )
+    idx = _local_maxima(dens, height=PEAK_THRESHOLD * dens.max())
     pts = wf.grid.points()
     # Watershed segment boundaries at the valleys between adjacent peaks.
     bounds = [0]
@@ -182,19 +162,16 @@ def detect_peaks(wf: QuadratureWavefunction) -> tuple[list[float], list[float]]:
 
 
 def fringe_metrics(wf: QuadratureWavefunction) -> tuple[float, float]:
-    """(period, visibility) of the interference pattern in x.
+    """(period, visibility) of the interference pattern of an x-basis
+    wavefunction.
 
     The period is twice the mean spacing of zero crossings of the
     wavefunction inside the envelope; visibility is (max-min)/(max+min)
     of the density over the extrema adjacent to the central crest, with
-    parabolic refinement of each extremum.
+    parabolic refinement of each extremum.  NoFringeError where the
+    envelope holds fewer than three crossings or no crest and trough.
     """
-    if wf.basis is not Basis.X:
-        raise DomainError("fringe analysis operates on x-basis wavefunctions")
     dens = wf.density()
-    peak_height = dens.max()
-    if peak_height == 0.0:
-        raise DegenerateStateError("all-zero wavefunction has no fringes")
 
     # Strip a global sign so that the highest crest is positive.
     re = np.sign(wf.values[int(np.argmax(dens))]) * wf.values
@@ -207,19 +184,18 @@ def fringe_metrics(wf: QuadratureWavefunction) -> tuple[float, float]:
     seg_re = re[lo:hi + 1]
     seg_p = pts[lo:hi + 1]
     sign_flip = np.nonzero(seg_re[:-1] * seg_re[1:] < 0.0)[0]
-    if sign_flip.size < 3:
+    seg_d = dens[lo:hi + 1]
+    crest_rel = _local_maxima(seg_d)
+    trough_rel = _local_maxima(-seg_d)
+    if sign_flip.size < 3 or crest_rel.size == 0 or trough_rel.size == 0:
         raise NoFringeError(
-            f"only {sign_flip.size} zero crossings inside the envelope"
+            f"{sign_flip.size} zero crossings, {crest_rel.size} crests and "
+            f"{trough_rel.size} troughs inside the envelope"
         )
     frac = seg_re[sign_flip] / (seg_re[sign_flip] - seg_re[sign_flip + 1])
     crossings = seg_p[sign_flip] + frac * wf.grid.spacing
     period = 2.0 * float(np.mean(np.diff(crossings)))
 
-    seg_d = dens[lo:hi + 1]
-    crest_rel = _local_maxima(seg_d)
-    trough_rel = _local_maxima(-seg_d)
-    if crest_rel.size == 0 or trough_rel.size == 0:
-        raise NoFringeError("no alternating extrema inside the envelope")
     crest_i = crest_rel[int(np.argmin(np.abs(seg_p[crest_rel])))]
     _, crest_val = _parabolic_refine(seg_d, int(crest_i))
     adjacent = []
@@ -239,9 +215,7 @@ def fringe_metrics(wf: QuadratureWavefunction) -> tuple[float, float]:
 def check_cat_conditions(mu: float, beta: float, xi2: float) -> tuple[bool, bool, bool]:
     """(resolvable, reachable, combined) observability conditions:
     mu >= 1/beta, mu <= xi2, beta*xi2 > 1.  For an array of mu the first
-    two are boolean arrays."""
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    two are boolean arrays.  beta is positive."""
     resolvable = mu >= 1.0 / beta
     reachable = mu <= xi2
     combined = beta * xi2 > 1.0
@@ -251,10 +225,6 @@ def check_cat_conditions(mu: float, beta: float, xi2: float) -> tuple[bool, bool
 def overlap(wf_a: QuadratureWavefunction, wf_b: QuadratureWavefunction) -> float:
     """|Riemann inner product| of two real wavefunctions on the same grid
     and basis; equals 1 for identical normalized states."""
-    if wf_a.grid != wf_b.grid:
-        raise DomainError("overlap requires identical grids")
-    if wf_a.basis is not wf_b.basis:
-        raise DomainError("overlap requires identical basis labels")
     return abs(float(np.sum(wf_a.values * wf_b.values) * wf_a.grid.spacing))
 
 
@@ -265,24 +235,16 @@ def compute_cat_metrics(p_wf: QuadratureWavefunction, x_wf: QuadratureWavefuncti
     resolvable, reachable, combined = check_cat_conditions(mu, beta, xi2)
 
     positions = std = separation = None
-    try:
-        found, widths = detect_peaks(p_wf)
-        if len(found) == 2:
-            positions = (found[0], found[1])
-            std = 0.5 * (widths[0] + widths[1])
-            separation = abs(found[1] - found[0])
-    except DegenerateStateError:
-        pass
+    found, widths = detect_peaks(p_wf)
+    if len(found) == 2:
+        positions = (found[0], found[1])
+        std = 0.5 * (widths[0] + widths[1])
+        separation = abs(found[1] - found[0])
 
-    period = env_std = visibility = None
-    try:
+    period = visibility = None
+    with contextlib.suppress(NoFringeError):
         period, visibility = fringe_metrics(x_wf)
-    except (NoFringeError, DegenerateStateError):
-        pass
-    try:
-        env_std = float(np.sqrt(2.0 * quadrature_moment(x_wf)))
-    except DegenerateStateError:
-        pass
+    env_std = float(np.sqrt(2.0 * quadrature_moment(x_wf)))
 
     return CatMetrics(
         peak_positions=positions,
@@ -303,13 +265,15 @@ def analyze_cat(xi2: float, beta: float, p_R: float):
     0).  wavefunctions are (name, wavefunction) pairs, the approximations
     only for mu_exact > 0, and the x one only where its norm does not
     underflow to 0.  An improbable outcome's error carries its
-    `density`; coverage is checked last."""
+    `density` and the log_norm of the exact squeezed coefficients;
+    coverage is checked last."""
     mu_exact, mu_approx = mu_of_outcome(p_R, beta, xi2)
     n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx, 0.0), TAIL_TOL)
     squeezed = squeezed_state_exact(xi2, n_max)
     try:
         cat_state = apply_number_qnd(squeezed, beta, p_R)
     except ImprobableOutcomeError as exc:
+        exc.log_norm = _squeezed_qnd_log_norm(xi2, n_max, beta, p_R)
         exc.density = float(outcome_density_second(squeezed, beta)(p_R))
         raise
 

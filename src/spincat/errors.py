@@ -22,20 +22,21 @@ class CapacityError(SpinCatError):
 
 
 class DegenerateStateError(SpinCatError):
-    """A state with zero norm (or no detectable structure) was encountered."""
+    """A wavefunction with zero norm was encountered."""
 
 
 class ImprobableOutcomeError(SpinCatError):
-    """The conditional state weight underflowed: the outcome is essentially
-    impossible for the given state, as opposed to a mere numerical accident."""
+    """The conditional state weight underflowed: the outcome p_R is
+    essentially impossible for the given state, as opposed to a mere
+    numerical accident.  log_norm is the log of that weight's norm."""
 
-    def __init__(self, message, log_norm=None):
-        super().__init__(message)
-        self.log_norm = log_norm
+    def __init__(self, p_R, log_norm):
+        super().__init__(p_R, log_norm)
+        self.p_R, self.log_norm = p_R, log_norm
 
-
-class NoCatError(DomainError):
-    """Cat-state analysis requested for a non-positive mean flip number."""
+    def __str__(self):
+        return (f"outcome p_R={self.p_R} has conditional weight below 1e-300 "
+                f"(log norm {self.log_norm:.1f})")
 
 
 class NoFringeError(SpinCatError):

@@ -50,8 +50,6 @@ def atomic_write_text(path: str, chunks) -> None:
     whole or not at all, also when producing a chunk raises.  The file
     gets the mode the umask leaves of 0o666, as any file the process
     creates (mkstemp's temp file would be 0o600, which the rename keeps)."""
-    if isinstance(chunks, str):
-        raise TypeError("atomic_write_text takes an iterable of str chunks, not a str")
     directory = os.path.dirname(os.path.abspath(path))
     for _ in range(100):  # a random name, drawn again if it is taken
         tmp = os.path.join(directory, ".tmp-" + os.urandom(6).hex())
@@ -114,10 +112,6 @@ def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
     computed once for several files on one grid."""
     if coords is None:
         coords = format_coords(wf.grid)
-    elif len(coords) != wf.grid.count:
-        raise DomainError(
-            f"{len(coords)} coordinates for a grid of {wf.grid.count} points"
-        )
     vals = wf.values
     half = _palindrome_half(vals)
     if not half:

@@ -39,9 +39,7 @@ _log_factorial_table = np.array([math.log(math.factorial(k)) for k in range(12)]
 
 
 def alpha_from_xi2(xi2: float) -> float:
-    """alpha = sqrt(xi2 - 1)."""
-    if xi2 < 1.0:
-        raise DomainError(f"squeezing degree must satisfy xi2 >= 1, got {xi2}")
+    """alpha = sqrt(xi2 - 1) for xi2 >= 1."""
     return float(np.sqrt(xi2 - 1.0))
 
 
@@ -66,48 +64,59 @@ def _log_factorials(n: int) -> np.ndarray:
     return table[:n + 1]
 
 
+def _squeezed_log_coefficients(xi2: float, n_max: int) -> np.ndarray:
+    """log c(n) at n = 0, 2, .., n_max for xi2 > 1, unnormalized."""
+    m = np.arange(0, n_max // 2 + 1)
+    log_k = _log_factorials(n_max)
+    return m * np.log((xi2 - 1.0) / (2.0 * (xi2 + 1.0))) + 0.5 * log_k[::2] - log_k[:m.size]
+
+
 def squeezed_state_exact(xi2: float, n_max: int) -> NumberState:
-    """Normalized squeezed state over n = 0 .. n_max (n_max even).
+    """Normalized squeezed state over n = 0 .. n_max, for xi2 >= 1 and an
+    even n_max.
 
     Even coefficients are evaluated in log space before exponentiation,
     with log-factorials from a port of the Cephes log-gamma routine that
     reproduces scipy.special.gammaln bit for bit; odd ones are exactly zero.
     """
-    if xi2 < 1.0:
-        raise DomainError(f"squeezing degree must satisfy xi2 >= 1, got {xi2}")
-    _check_even_truncation(n_max)
     amps = np.zeros(n_max + 1)
-    ratio = (xi2 - 1.0) / (2.0 * (xi2 + 1.0))
-    if ratio == 0.0:
+    if xi2 == 1.0:
         amps[0] = 1.0
     else:
-        m = np.arange(0, n_max // 2 + 1)
-        log_k = _log_factorials(n_max)
-        log_c = m * np.log(ratio) + 0.5 * log_k[::2] - log_k[:m.size]
+        log_c = _squeezed_log_coefficients(xi2, n_max)
         log_c -= log_c.max()
         amps[::2] = np.exp(log_c)
     amps /= np.linalg.norm(amps)
     return NumberState(amps)
 
 
+def _log_norm(log_terms: np.ndarray) -> float:
+    """log sqrt(sum exp(2 log_terms)), with no term over- or underflowing."""
+    top = log_terms.max()
+    if top == -math.inf:
+        return -math.inf
+    return float(top + 0.5 * math.log(np.sum(np.exp(2.0 * (log_terms - top)))))
+
+
+def _squeezed_qnd_log_norm(xi2: float, n_max: int, beta: float, p_R: float) -> float:
+    """log of the norm `apply_number_qnd` meets when it conditions
+    squeezed_state_exact(xi2, n_max) on p_R, for xi2 > 1, taken from the
+    log-coefficients: where the far amplitudes of the float state underflow
+    to 0, its norm misses them."""
+    log_c = _squeezed_log_coefficients(xi2, n_max)
+    with np.errstate(over="ignore"):
+        log_w = log_c - 0.5 * (beta * np.arange(0, n_max + 1, 2) - p_R) ** 2
+    return _log_norm(log_w) - _log_norm(log_c)
+
+
 def squeezed_state_stirling(xi2: float, n_max: int) -> NumberState:
     """Geometric large-n approximation c(n) ~ ((xi2-1)/(xi2+1))**(n/2),
-    normalized; undefined at the degenerate point xi2 = 1."""
-    if xi2 <= 1.0:
-        raise DomainError(
-            f"the geometric approximation requires xi2 > 1, got {xi2}"
-        )
-    _check_even_truncation(n_max)
+    normalized, for xi2 > 1 and an even n_max."""
     amps = np.zeros(n_max + 1)
     m = np.arange(0, n_max // 2 + 1)
     amps[::2] = ((xi2 - 1.0) / (xi2 + 1.0)) ** m
     amps /= np.linalg.norm(amps)
     return NumberState(amps)
-
-
-def _check_even_truncation(n_max: int) -> None:
-    if n_max < 0 or n_max % 2:
-        raise DomainError(f"n_max must be a non-negative even integer, got {n_max}")
 
 
 def sample_first_outcome(alpha: float, rng: np.random.Generator, size: int | None = None):
@@ -124,9 +133,8 @@ def apply_number_qnd(state: NumberState, beta: float, p_R: float) -> NumberState
     Zero entries stay exactly zero, so parity patterns survive bitwise.
     The pre-normalization norm is tracked in log space; below 1e-300 the
     outcome is reported as impossible rather than silently underflowing.
+    beta is non-negative.
     """
-    if beta < 0.0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
     n = np.arange(state.amplitudes.size)
     with np.errstate(over="ignore"):
         # An overflowing square gives -inf, the exact limit of the weight.
@@ -148,20 +156,14 @@ def apply_number_qnd(state: NumberState, beta: float, p_R: float) -> NumberState
             nrm = np.linalg.norm(scaled)
     log_norm = shift + (math.log(nrm) if nrm > 0.0 else -math.inf)
     if log_norm < _LOG_IMPROBABLE:
-        raise ImprobableOutcomeError(
-            f"outcome p_R={p_R} has conditional weight below 1e-300 "
-            f"(log norm {log_norm:.1f})",
-            log_norm=log_norm,
-        )
+        raise ImprobableOutcomeError(p_R, log_norm)
     return NumberState(scaled * (1.0 / nrm))
 
 
 def outcome_density_second(state: NumberState, beta: float):
     """Probability density of the second-step outcome for a normalized
     state: a Gaussian mixture with means beta*n, component std 1/sqrt(2)
-    and weights |c_n|**2.  Returns a vectorized callable."""
-    if beta < 0.0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
+    and weights |c_n|**2, for beta >= 0.  Returns a vectorized callable."""
     weights = np.abs(state.amplitudes) ** 2
     weights = weights / weights.sum()
     means = beta * np.arange(weights.size)
@@ -182,9 +184,8 @@ def sample_second_outcome(state: NumberState, beta: float, rng: np.random.Genera
                           size: int | None = None):
     """Exact two-stage sampling: n with probability |c_n|**2, then
     p_R ~ N(beta*n, 1/2), infinite where beta*n overflows.  One float when
-    size is None, else `size` draws: all the uniforms for n, then the normals."""
-    if beta < 0.0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
+    size is None, else `size` draws: all the uniforms for n, then the
+    normals.  beta is non-negative."""
     cum = np.cumsum(np.abs(state.amplitudes) ** 2)
     cum /= cum[-1]
     n = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), state.n_max)

@@ -46,7 +46,11 @@ BENCH_SEEDS = range(1, 6)
 # and the seeding edges of the outcome streams: sampled cats at the largest
 # and the smallest 64-bit seed, a trajectory run whose second block holds
 # one record, and one at seed 0; a cat of mu_exact 2.2e-4, whose approximate
-# x wavefunction underflows to no norm and is not written.
+# x wavefunction underflows to no norm and is not written; and the
+# refusals flags reach: an occupancy past HERMITE_N_BUDGET, a truncation
+# past its cap, a tail ratio that rounds to 1, a beta whose square
+# underflows, an out_dir under a device file, and outcomes too narrow in
+# doubles for the histogram's bins.
 EDGE_COMMANDS = [
     "cat --xi2 45.933626852860776 --beta 0.03197871375401286 --pr-over-beta 24.844678751740197",
     "cat --xi2 20 --beta 0.3333 --pr-over-beta 7 --grid-half-width 2 --grid-count 256",
@@ -75,6 +79,12 @@ EDGE_COMMANDS = [
     "trajectories --xi2 20 --beta 0.3333 --count 8193 --seed 18446744073709551615",
     "trajectories --xi2 1.5 --beta 2 --count 3 --seed 0",
     "cat --xi2 20 --beta 0.3333333333333333 --pr 0.1502",
+    "squeeze --xi2 200",
+    "squeeze --xi2 5000",
+    "squeeze --xi2 1e16",
+    "cat --xi2 20 --beta 1e-300 --pr 0",
+    "squeeze --xi2 2 --out-dir /dev/null/spincat",
+    "trajectories --xi2 20 --beta 18446744073709551616 --count 1",
 ]
 
 
@@ -98,7 +108,8 @@ def readme_commands() -> list[list[str]]:
 
 
 def commands() -> dict[str, list[str]]:
-    """Entry name -> argv (without --out-dir), in manifest order."""
+    """Entry name -> argv, in manifest order.  Only an entry whose subject
+    is the output directory itself gives --out-dir."""
     batches = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py").BATCHES
     named = {}
     for workload, batch in batches.items():
@@ -117,12 +128,16 @@ def _sha(data: bytes) -> str:
 
 
 def run(argv: list[str], out_dir: str) -> dict:
-    """Exit code and hashes of one in-process command writing into out_dir."""
+    """Exit code and hashes of one in-process command writing into out_dir,
+    or into the --out-dir that argv gives."""
     from spincat.cli import main
 
+    command = argv + ["--out-dir", out_dir]
+    if "--out-dir" in argv:
+        out_dir, command = argv[argv.index("--out-dir") + 1], argv
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv + ["--out-dir", out_dir])
+        code = main(command)
     files = {}
     if os.path.isdir(out_dir):
         for name in sorted(os.listdir(out_dir)):

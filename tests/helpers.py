@@ -1,11 +1,20 @@
-"""Shared test oracles, independent of the library's implementation paths."""
+"""Shared test oracles, independent of the library's implementation paths,
+and the line tracer that shows which refusals of the package run."""
 
+import ast
+import contextlib
+import functools
+import importlib.util
+import os
+import sys
 from decimal import Decimal, localcontext
 from math import comb
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import norm as normal_dist
 
+import spincat
 from spincat.protocol import quadrature_variances
 from spincat.state import (
     Basis,
@@ -224,6 +233,25 @@ def exact_qnd_log_norm(amplitudes: np.ndarray, beta: float, p_R: float,
         return total.ln() / 2 if total else -np.inf
 
 
+def exact_squeezed_qnd_log_norm(xi2: float, n_max: int, beta: float, p_R: float,
+                                digits: int = 50) -> Decimal:
+    """log of the norm of c(n) * exp(-(beta*n - p_R)**2 / 2) over even
+    n <= n_max, with c the normalized squeezed coefficients,
+    c(n)**2 = r**n C(n, n/2) / sum_m r**m C(m, m/2) and
+    r = (xi2-1)/(2(xi2+1)), in `digits`-digit decimal arithmetic from the
+    exact binary values of the inputs: no coefficient underflows."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x, b, p = Decimal(xi2), Decimal(beta), Decimal(p_R)
+        r = (x - 1) / (2 * (x + 1))
+        weighted = total = Decimal(0)
+        for n in range(0, n_max + 1, 2):
+            square = r ** n * comb(n, n // 2)
+            total += square
+            weighted += square * (-(b * n - p) ** 2).exp()
+        return (weighted / total).ln() / 2
+
+
 # ---------------------------------------------------------------------------
 # reference expansion and writers: one value at a time, in numpy scalars
 
@@ -281,10 +309,72 @@ def reference_histogram_csv(edges, counts) -> str:
 
 def read_number_state_csv(path: str) -> NumberState:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return NumberState(data[:, 1] + 1j * data[:, 2])
+    assert not data[:, 2].any()
+    return NumberState(data[:, 1])
 
 
 def read_wavefunction_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """(coords, complex values); grid and basis metadata are not stored."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return data[:, 0], data[:, 1] + 1j * data[:, 2]
+
+
+# ---------------------------------------------------------------------------
+# refusals: the package's raise statements and the lines that run
+
+PACKAGE = os.path.dirname(spincat.__file__)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@functools.cache
+def raise_statements() -> frozenset[tuple[str, int]]:
+    """(file name, line) of every `raise <exception>` statement in the
+    package; a bare re-raise is not one."""
+    found = set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            tree = ast.parse(Path(PACKAGE, name).read_text(), name)
+            found |= {(name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Raise) and node.exc is not None}
+    return frozenset(found)
+
+
+@contextlib.contextmanager
+def traced_lines():
+    """Yield a set that collects (file name, line) of every line of the
+    package run in the block, on this thread.  Code outside the package is
+    not traced line by line."""
+    lines = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            lines.add((os.path.basename(frame.f_code.co_filename), frame.f_lineno))
+        return line
+
+    def call(frame, event, arg):
+        return line if os.path.dirname(frame.f_code.co_filename) == PACKAGE else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        yield lines
+    finally:
+        sys.settrace(previous)
+
+
+def load_regenerate():
+    spec = importlib.util.spec_from_file_location("golden_regenerate",
+                                                  GOLDEN / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def traced_manifest():
+    """(the fresh manifest of tests/golden/regenerate.py, the package lines
+    its commands run): one traced run per test process."""
+    with traced_lines() as lines:
+        fresh = load_regenerate().compute()
+    return fresh, frozenset(lines)

@@ -8,15 +8,12 @@ from helpers import fourier_pair, hermite_basis, normalized
 from spincat import (
     Basis,
     CatApproxParams,
-    DegenerateStateError,
-    DomainError,
-    NoCatError,
     NoFringeError,
     NumberState,
     QuadratureGrid,
-    ResolutionError,
     approx_p_wavefunction,
     approx_x_wavefunction,
+    analyze_cat,
     apply_number_qnd,
     check_cat_conditions,
     choose_truncation,
@@ -83,8 +80,15 @@ def test_approx_p_is_machine_symmetric():
 
 
 def test_approx_p_rejects_non_positive_mu():
-    with pytest.raises(NoCatError):
-        approx_p_wavefunction(CatApproxParams(mu=-1.0, beta=BETA), fig_grid(7.0))
+    """approx_p_wavefunction takes mu > 0 only: for an outcome whose
+    mu_exact is not positive, analyze_cat builds no approximation and
+    reports no overlap with one."""
+    p_R = -BETA  # p_R/beta = -1, below the log correction
+    mu_exact, _ = mu_of_outcome(p_R, BETA, 20.0)
+    assert mu_exact < 0.0
+    _, _, wavefunctions, metrics = analyze_cat(20.0, BETA, p_R)
+    assert [name for name, _ in wavefunctions] == ["cat_p", "cat_x"]
+    assert metrics["overlap_p_approx"] is None
 
 
 def test_approx_x_fringe_period_and_envelope():
@@ -99,8 +103,14 @@ def test_approx_x_fringe_period_and_envelope():
 
 
 def test_approx_x_requires_resolved_fringes():
-    with pytest.raises(ResolutionError):
-        approx_x_wavefunction(FIG_PARAMS, QuadratureGrid(12.0, 32))
+    """approx_x_wavefunction takes a grid with at least 16 points per
+    fringe period 2 pi / sqrt(2 mu), which default_cat_grid gives at every
+    mu, beta and occupancy."""
+    for mu in (1e-12, 1e-3, 0.5, 7.0, 200.0, 1e5):
+        for beta in (1e-3, BETA, 10.0):
+            for n_eff in (0, 40, 2000):
+                grid = default_cat_grid(mu, beta, n_eff)
+                assert grid.spacing <= 2.0 * np.pi / np.sqrt(2.0 * mu) / 16.0
 
 
 def test_approx_consistency_under_fourier():
@@ -134,17 +144,6 @@ def test_detect_peaks_vacuum():
     assert widths[0] == pytest.approx(1.0, rel=0.01)
 
 
-def test_detect_peaks_requires_p_basis_and_structure():
-    with pytest.raises(DomainError):
-        detect_peaks(vacuum_wavefunction(basis=Basis.X))
-    # monotone ramp has no interior maximum
-    grid = QuadratureGrid(8.0, 256)
-    values = np.exp(-(grid.points() - 12.0) ** 2 / 8.0).astype(complex)
-    ramp = riemann_normalize(QuadratureWavefunction(grid, values, Basis.P))
-    with pytest.raises(DegenerateStateError):
-        detect_peaks(ramp)
-
-
 PLATEAUS = st.lists(st.integers(0, 3), max_size=60).map(lambda v: np.array(v, dtype=float))
 NOISE = st.lists(st.floats(-1e3, 1e3), max_size=60).map(lambda v: np.array(v, dtype=float))
 
@@ -174,8 +173,6 @@ def test_fringe_metrics_on_exact_state():
 def test_fringe_metrics_vacuum_has_no_fringes():
     with pytest.raises(NoFringeError):
         fringe_metrics(vacuum_wavefunction(basis=Basis.X))
-    with pytest.raises(DomainError):
-        fringe_metrics(vacuum_wavefunction(basis=Basis.P))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +183,6 @@ def test_check_cat_conditions_reference_points():
     assert check_cat_conditions(7.0, BETA, 20.0) == (True, True, True)
     assert check_cat_conditions(2.0, BETA, 20.0) == (False, True, True)
     assert check_cat_conditions(25.0, BETA, 20.0) == (True, False, True)
-    with pytest.raises(DomainError):
-        check_cat_conditions(7.0, 0.0, 20.0)
 
 
 def test_check_cat_conditions_boundaries_non_strict():
@@ -210,13 +205,13 @@ def test_overlap_self_and_orthogonal():
 
 
 def test_overlap_requires_matching_layout():
-    a = vacuum_wavefunction(count=512)
-    b = vacuum_wavefunction(count=256)
-    with pytest.raises(DomainError):
-        overlap(a, b)
-    c = vacuum_wavefunction(basis=Basis.X, count=512)
-    with pytest.raises(DomainError):
-        overlap(a, c)
+    """overlap takes two wavefunctions on one grid and in one basis: the
+    pair analyze_cat passes it, the exact and approximate p wavefunctions,
+    share both."""
+    _, grid, wavefunctions, _ = analyze_cat(20.0, BETA, 7.0 * BETA)
+    named = dict(wavefunctions)
+    for name in ("cat_p", "cat_approx_p"):
+        assert named[name].grid == grid and named[name].basis is Basis.P
 
 
 def test_overlap_exact_cat_with_approximation():

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,45 @@ def test_cat_conditions_experimental_free_space():
 def test_cat_conditions_experimental_cavity_boundary():
     assert CAVITY.depth_condition_met is True
     assert CAVITY.xi2_required_cat == 10.0
+
+
+def test_depth_tolerance_meets_the_boundary_and_no_depth_1e9_below():
+    """feasibility._DEPTH_REL_TOL: a depth on the boundary 2 kappa0/T =
+    4 N_a^(2/3) (kappa0 in free space) counts as met, also where the doubles
+    of kappa0 and T put the exact depth a rounding below it, and a depth
+    1e-9 below it, relative, does not.  With N_a = k**3 the threshold is
+    exactly 4 k**2; fractions decide on which side of it the exact depth
+    of the doubles lies."""
+    preset = PRESETS["bec-cavity"]
+    cases = [(preset, 0.0)]
+    for k in (1, 7, 10, 100, 1000):
+        for transmission in (1.0, 0.9, 1.0 / 3.0, 0.3, 0.05):
+            gain = 2.0 / transmission if transmission < 1.0 else 1.0
+            for below in (0.0, 1e-9):
+                params = ExperimentalParams(
+                    kappa0=4.0 * k * k * (1.0 - below) / gain, gamma=1.0, delta=1e9,
+                    n_atoms=k ** 3, n_photons=1e6, transmission=transmission)
+                cases.append((params, below))
+    needs_tolerance = 0
+    for params, below in cases:
+        k = round(params.n_atoms ** (1.0 / 3.0))
+        assert k ** 3 == params.n_atoms
+        depth = Fraction(params.kappa0)
+        if params.transmission < 1.0:
+            depth *= 2 / Fraction(params.transmission)
+        offset = depth / (4 * k * k) - 1
+        report = evaluate_scenario(params)
+        where = f"{params}: exact relative offset {float(offset):.3g}"
+        if below:
+            assert -1.000001e-9 < offset < -0.999999e-9, where
+            assert report.depth_condition_met is False and report.depth_flag == "marginal", where
+        else:
+            assert abs(offset) < 2 ** -50, where
+            assert report.depth_condition_met is True and report.depth_flag == "met", where
+            needs_tolerance += report.effective_depth < report.depth_threshold
+    # At k = 1, T = 0.9 the depth in doubles is 3.9999999999999996: only the
+    # tolerance admits it.
+    assert needs_tolerance >= 1
 
 
 def test_cat_conditions_experimental_single_atom_scale():

@@ -9,6 +9,7 @@ from helpers import (
     brute_force_number_qnd,
     chi_square_vs_mixture,
     exact_qnd_log_norm,
+    exact_squeezed_qnd_log_norm,
     hermite_basis,
     longdouble_quadrature_variances,
     riemann_quadrature_variances,
@@ -22,6 +23,7 @@ from spincat import (
     RandomSource,
     QuadratureGrid,
     alpha_from_xi2,
+    analyze_cat,
     apply_number_qnd,
     approx_p_wavefunction,
     approx_x_wavefunction,
@@ -37,6 +39,7 @@ from spincat import (
     squeezed_state_stirling,
 )
 from spincat import protocol
+from spincat.cli import EXIT_CONFIG, main
 from spincat.state import TAIL_TOL, _TRUNCATION_CAP, effective_max_index
 
 BETA_FIG = 1.0 / 3.0
@@ -55,8 +58,6 @@ def reference_cat_state():
 def test_alpha_from_xi2():
     assert alpha_from_xi2(1.0) == 0.0
     assert alpha_from_xi2(20.0) == pytest.approx(np.sqrt(19.0), abs=1e-12)
-    with pytest.raises(DomainError):
-        alpha_from_xi2(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +151,12 @@ def test_squeezed_stirling_ratio_and_overlap():
 
 
 def test_squeezed_stirling_near_degenerate_and_error():
+    """Near xi2 = 1 the approximation is the vacuum, and so is the exact
+    state: its error, 1 - fidelity, is below 1e-9 there."""
     state = squeezed_state_stirling(1.0001, 16)
     assert abs(state.amplitudes[0]) > 0.99999
-    with pytest.raises(DomainError):
-        squeezed_state_stirling(1.0, 16)
-
-
-def test_squeezed_requires_even_truncation():
-    with pytest.raises(DomainError):
-        squeezed_state_exact(3.0, 7)
+    exact = squeezed_state_exact(1.0001, 16)
+    assert 1.0 - abs(np.vdot(exact.amplitudes, state.amplitudes)) < 1e-9
 
 
 @pytest.mark.parametrize("xi2", [2.0, 5.0, 20.0, 50.0])
@@ -275,6 +273,29 @@ def test_apply_number_qnd_refuses_exactly_below_its_floor(xi2):
                 cat = apply_number_qnd(state, beta, p_R)
                 assert np.linalg.norm(cat.amplitudes) == pytest.approx(1.0, abs=1e-14), where
                 assert np.all(cat.amplitudes[state.amplitudes == 0.0] == 0.0), where
+
+
+def test_cat_refusal_reports_the_exact_log_norm_where_amplitudes_underflow():
+    """At xi2 2 and beta 0.1 the largest weights of p_R near 150 fall on n
+    near 1400, where the float squeezed amplitudes underflow to 0 (from
+    p_R 140 on, the log-norm of the float state is off by 0.03 to 44).
+    `analyze_cat` refuses exactly the outcomes whose exact log-norm is
+    below log(1e-300) and reports that log-norm."""
+    xi2, beta = 2.0, 0.1
+    refused = 0
+    for p_R in range(100, 151, 5):
+        mu_exact, mu_approx = mu_of_outcome(float(p_R), beta, xi2)
+        n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx, 0.0), TAIL_TOL)
+        exact = float(exact_squeezed_qnd_log_norm(xi2, n_max, beta, float(p_R)))
+        if exact < protocol._LOG_IMPROBABLE:
+            with pytest.raises(ImprobableOutcomeError) as info:
+                analyze_cat(xi2, beta, float(p_R))
+            assert info.value.log_norm == pytest.approx(exact, rel=1e-12), p_R
+            assert f"(log norm {exact:.1f})" in str(info.value)
+            refused += 1
+        else:
+            apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, float(p_R))
+    assert refused == 5
 
 
 def test_parity_survives_both_steps_bitwise():
@@ -405,16 +426,17 @@ def test_outcome_sampler_vacuum_law():
     assert kstest(p_r, "norm", args=(0.0, np.sqrt(0.5))).pvalue > 0.01
 
 
-def test_outcome_sampler_reproducible_and_rejects_negative_beta():
+def test_outcome_sampler_reproducible_and_rejects_negative_beta(tmp_path, capsys):
+    """The sampler takes beta >= 0: the command line refuses a negative
+    one as a config error, before any draw."""
+    argv = ["trajectories", "--xi2", "20", "--beta", "-0.1", "--count", "3"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "beta must be > 0.0" in capsys.readouterr().err
     state = squeezed_state_exact(20.0, 230)
     alpha = alpha_from_xi2(20.0)
     a = draw_block(alpha, state, BETA_FIG, RandomSource.for_trajectory(5, 0), 1000)
     b = draw_block(alpha, state, BETA_FIG, RandomSource.for_trajectory(5, 0), 1000)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    with pytest.raises(DomainError):
-        sample_second_outcome(state, -0.1, RandomSource(0))
-    with pytest.raises(DomainError):
-        sample_second_outcome(state, -0.1, RandomSource(0), 10)
 
 
 # (xi2, beta) pairs for the seeding property: the reference point, a
