@@ -1,45 +1,61 @@
 #!/usr/bin/env python3
 """Sweep the conditional mean flip number and tabulate cat metrics.
 
-For each mu the cat is analyzed, as `spincat cat --pr` does, at the outcome
-p_R = beta * (mu - correction) that makes mu_exact equal the requested mu.
-The detected peaks and fringes are set against their closed forms, and the
-exact p wavefunction against the two-Gaussian approximation.  A point whose
-grid loses probability mass, or any other spincat error, ends the sweep
-with exit 3.
+For each mu the script runs `spincat cat --pr <p_R>` in-process, at the
+outcome p_R = beta * (mu - correction) that makes mu_exact equal the
+requested mu, and sets the peaks and fringes the command reports against
+their closed forms.  The peak columns are NaN where the command reports
+no peak pair.  A point the command refuses, such as one whose grid loses
+probability mass, ends the sweep with the command's stderr and exit code.
 """
 
 import argparse
+import contextlib
 import csv
+import io
+import json
 import sys
+import tempfile
 
 import numpy as np
 
-from spincat import SpinCatError, analyze_cat, detect_peaks
+import spincat.cli
+
+
+def run_command(argv):
+    """(exit code, stdout JSON or None, stderr) of spincat.cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = spincat.cli.main(argv)
+    return code, json.loads(out.getvalue()) if code == 0 else None, err.getvalue()
 
 
 def invert_mu(mu, beta, xi2):
     # p_R giving mu_exact == mu
-    return beta * mu - np.log((xi2 - 1.0) / (xi2 + 1.0)) / (2.0 * beta)
+    return float(beta * mu - np.log((xi2 - 1.0) / (xi2 + 1.0)) / (2.0 * beta))
 
 
 def _nan_if_none(value):
     return float("nan") if value is None else value
 
 
-def run_sweep(xi2, beta, mu_values):
+def run_sweep(xi2, beta, mu_values, out_dir):
     rows = []
     for mu in mu_values:
         p_r = invert_mu(mu, beta, xi2)
-        _, _, wavefunctions, metrics = analyze_cat(xi2, beta, p_r)
-        positions, widths = detect_peaks(dict(wavefunctions)["cat_p"])
+        code, result, err = run_command(["cat", "--xi2", repr(xi2), "--beta", repr(beta),
+                                         "--pr", repr(p_r), "--out-dir", out_dir])
+        if code:
+            sys.stderr.write(err)
+            sys.exit(code)
+        metrics = result["metrics"]
+        peaks = metrics["peak_positions"]
         rows.append({
             "mu": mu,
             "p_R": p_r,
-            "n_peaks": len(positions),
-            "peak_abs": abs(positions[-1]),
+            "peak_abs": float("nan") if peaks is None else abs(peaks[1]),
             "peak_target": np.sqrt(2.0 * mu),
-            "mean_width": float(np.mean(widths)),
+            "mean_width": _nan_if_none(metrics["peak_std"]),
             "fringe_period": _nan_if_none(metrics["fringe_period"]),
             "period_target": 2.0 * np.pi / np.sqrt(2.0 * mu),
             "visibility": _nan_if_none(metrics["visibility"]),
@@ -64,13 +80,10 @@ def main():
         parser.error(f"--steps must be at least 1, got {args.steps}")
 
     mu_values = np.linspace(args.mu_min, args.mu_max, args.steps)
-    try:
-        rows = run_sweep(args.xi2, args.beta, mu_values)
-    except SpinCatError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        sys.exit(3)
+    with tempfile.TemporaryDirectory() as out_dir:
+        rows = run_sweep(args.xi2, args.beta, mu_values, out_dir)
 
-    header = ("mu", "n_peaks", "peak_abs", "peak_target", "fringe_period",
+    header = ("mu", "peak_abs", "peak_target", "fringe_period",
               "period_target", "visibility", "overlap_approx", "resolvable")
     print("  ".join(f"{h:>14s}" for h in header))
     for row in rows:

@@ -1,47 +1,66 @@
 #!/usr/bin/env python3
 """Compare sampled second-step outcomes against the analytic mixture.
 
-Draws `--count` outcomes p_R in one block from the exact two-stage sampler
-`sample_second_outcome` on `RandomSource(--seed)`, bins them, and prints
-observed versus expected counts plus the chi-square statistic.  Only p_R
-is drawn.
+Runs `spincat trajectories` in-process with the given --xi2, --beta,
+--count and --seed, bins the p_R column of the records it writes, and
+prints observed versus expected counts plus the chi-square statistic.
+The command draws each block's p_P before its p_R, so these are the p_R
+of full protocol runs.  The expected counts come from the squeezed state
+at the command's own truncation, the summary's n_max.
 """
 
 import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
 
 import numpy as np
 from scipy.stats import chi2, norm
 
-from spincat import (
-    RandomSource,
-    choose_truncation,
-    sample_second_outcome,
-    squeezed_state_exact,
-)
-from spincat.state import TAIL_TOL
+import spincat.cli
+from spincat import squeezed_state_exact
+
+
+def run_command(argv):
+    """(exit code, stdout JSON or None, stderr) of spincat.cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = spincat.cli.main(argv)
+    return code, json.loads(out.getvalue()) if code == 0 else None, err.getvalue()
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--xi2", type=float, default=20.0)
-    parser.add_argument("--beta", type=float, default=1.0 / 3.0)
-    parser.add_argument("--count", type=int, default=50_000)
-    parser.add_argument("--seed", type=int, default=0)
+    # Passed to the command as given, which checks them.
+    parser.add_argument("--xi2", default="20.0")
+    parser.add_argument("--beta", default=repr(1.0 / 3.0))
+    parser.add_argument("--count", default="50000")
+    parser.add_argument("--seed", default="0")
     parser.add_argument("--bins", type=int, default=24)
     args = parser.parse_args()
 
-    state = squeezed_state_exact(
-        args.xi2, choose_truncation(args.xi2, args.beta, 0.0, TAIL_TOL))
-    draws = sample_second_outcome(state, args.beta, RandomSource(args.seed), args.count)
+    with tempfile.TemporaryDirectory() as out_dir:
+        code, result, err = run_command([
+            "trajectories", "--xi2", args.xi2, "--beta", args.beta, "--count", args.count,
+            "--seed", args.seed, "--out-dir", out_dir])
+        if code:
+            sys.stderr.write(err)
+            sys.exit(code)
+        with open(result["files"]["trajectories"]) as handle:
+            draws = np.array([json.loads(line)["p_R"] for line in handle])
+    summary = result["summary"]
 
     lo, hi = np.quantile(draws, [0.001, 0.999])
     edges = np.concatenate(([-np.inf], np.linspace(lo, hi, args.bins - 1), [np.inf]))
     observed = np.histogram(draws, bins=edges)[0]
 
+    state = squeezed_state_exact(summary["xi2"], summary["n_max"])
     weights = np.abs(state.amplitudes) ** 2
-    means = args.beta * np.arange(weights.size)
+    means = summary["beta"] * np.arange(weights.size)
     cdf = norm.cdf((edges[:, None] - means) / np.sqrt(0.5)) @ weights
-    expected = np.diff(cdf) * args.count
+    expected = np.diff(cdf) * summary["count"]
 
     print(f"{'bin':>24s} {'observed':>10s} {'expected':>12s}")
     for i in range(len(observed)):

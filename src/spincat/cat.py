@@ -41,7 +41,6 @@ from .state import (
     Basis,
     QuadratureGrid,
     QuadratureWavefunction,
-    TAIL_TOL,
     _check_coverage,
     _expand,
     choose_truncation,
@@ -268,7 +267,7 @@ def analyze_cat(xi2: float, beta: float, p_R: float):
     `density` and the log_norm of the exact squeezed coefficients;
     coverage is checked last."""
     mu_exact, mu_approx = mu_of_outcome(p_R, beta, xi2)
-    n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx, 0.0), TAIL_TOL)
+    n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx, 0.0))
     squeezed = squeezed_state_exact(xi2, n_max)
     try:
         cat_state = apply_number_qnd(squeezed, beta, p_R)

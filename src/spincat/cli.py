@@ -36,7 +36,6 @@ from .protocol import (
 from .state import (
     Basis,
     RandomSource,
-    TAIL_TOL,
     _check_coverage,
     _expand,
     choose_truncation,
@@ -270,7 +269,7 @@ def _outputs(out_dir: str):
 
 
 def run_squeeze(cfg: argparse.Namespace) -> dict:
-    n_max = choose_truncation(cfg.xi2, 1.0, 0.0, TAIL_TOL)
+    n_max = choose_truncation(cfg.xi2, 1.0, 0.0)
     exact = squeezed_state_exact(cfg.xi2, n_max)
     grid = grid_for_state(exact)
     dx2, dp2 = quadrature_variances(exact)
@@ -312,7 +311,7 @@ def run_cat(cfg: argparse.Namespace) -> dict:
     alpha = alpha_from_xi2(cfg.xi2)
     p_P = None
     if cfg.sample:
-        base_n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0, TAIL_TOL)
+        base_n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0)
         rng = RandomSource(cfg.seed)
         p_P = sample_first_outcome(alpha, rng)
         p_R = sample_second_outcome(squeezed_state_exact(cfg.xi2, base_n_max),
@@ -348,7 +347,7 @@ def run_trajectories(cfg: argparse.Namespace) -> dict:
     p_P, then all its p_R.  Every block is drawn whole, so record i depends
     on the seed and i only."""
     alpha = alpha_from_xi2(cfg.xi2)
-    n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0, TAIL_TOL)
+    n_max = choose_truncation(cfg.xi2, cfg.beta, 0.0)
     state = squeezed_state_exact(cfg.xi2, n_max)
 
     p_r_values = np.empty(cfg.count)

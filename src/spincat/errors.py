@@ -16,10 +16,6 @@ class ResolutionError(SpinCatError):
 class CapacityError(SpinCatError):
     """The required basis truncation exceeds the configured cap."""
 
-    def __init__(self, message, required_n_max=None):
-        super().__init__(message)
-        self.required_n_max = required_n_max
-
 
 class DegenerateStateError(SpinCatError):
     """A wavefunction with zero norm was encountered."""

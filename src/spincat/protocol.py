@@ -195,7 +195,7 @@ def sample_second_outcome(state: NumberState, beta: float, rng: np.random.Genera
 
 def mu_of_outcome(p_R: float, beta: float, xi2: float) -> tuple[float, float]:
     """Conditional mean flip number implied by the outcome p_R (a float or,
-    elementwise, an array).
+    elementwise, an array), for xi2 > 1.
 
     Returns (exact, approximate):
         exact  = p_R/beta + ln((xi2-1)/(xi2+1)) / (2 beta**2)
@@ -204,8 +204,6 @@ def mu_of_outcome(p_R: float, beta: float, xi2: float) -> tuple[float, float]:
     scale = 2.0 * beta * beta
     if not (beta > 0.0 and scale > 0.0):
         raise DomainError(f"beta must be positive with a nonzero square, got {beta}")
-    if xi2 <= 1.0:
-        raise DomainError(f"mu correction needs xi2 > 1, got {xi2}")
     mu_approx = p_R / beta
     mu_exact = mu_approx + math.log((xi2 - 1.0) / (xi2 + 1.0)) / scale
     if not np.all(np.isfinite(mu_exact)):

@@ -58,13 +58,6 @@ class Basis(str, Enum):
     P = "p"
 
 
-def _check_seed(seed) -> int:
-    seed = int(seed)
-    if not 0 <= seed < 2 ** 64:
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
-
-
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Uniform grid of `count` points from -half_width to half_width
@@ -117,11 +110,11 @@ class RandomSource:
     resident) with the package instead of at the first draw."""
 
     def __new__(cls, seed: int) -> np.random.Generator:
-        return np.random.default_rng(_check_seed(seed))
+        return np.random.default_rng(seed)
 
     @classmethod
     def for_trajectory(cls, seed: int, index: int) -> np.random.Generator:
-        return np.random.default_rng([_check_seed(seed), int(index)])
+        return np.random.default_rng([seed, index])
 
 
 # ---------------------------------------------------------------------------
@@ -316,38 +309,29 @@ def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
 # truncation policy
 
 
-def choose_truncation(xi2: float, beta: float, mu_max: float, tail_tol: float,
-                      cap: int = _TRUNCATION_CAP) -> int:
+def choose_truncation(xi2: float, beta: float, mu_max: float) -> int:
     """Smallest even n_max such that (a) the squeezed-state tail mass beyond
-    n_max stays below tail_tol (geometric bound with ratio
+    n_max stays below TAIL_TOL (geometric bound with ratio
     ((xi2-1)/(xi2+1))**2) and (b) n_max covers mu_max plus ten measurement
-    widths 1/beta when a conditional mean is targeted.  Floor 2, cap `cap`.
+    widths 1/beta when a conditional mean is targeted.  Floor 2; past
+    _TRUNCATION_CAP it raises CapacityError.  Both constants are read at
+    each call.  xi2 >= 1, beta > 0 and mu_max >= 0, as the command line
+    passes them.
     """
-    if xi2 < 1.0:
-        raise DomainError(f"squeezing degree must satisfy xi2 >= 1, got {xi2}")
-    if beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if mu_max < 0.0:
-        raise DomainError(f"mu_max must be non-negative, got {mu_max}")
-    if not 0.0 < tail_tol <= 1e-4:
-        raise DomainError(f"tail_tol must lie in (0, 1e-4], got {tail_tol}")
-
     q = ((xi2 - 1.0) / (xi2 + 1.0)) ** 2
     if q == 1.0:  # from xi2 near 1e16 on: the tail never ends
         raise CapacityError(f"xi2={xi2} rounds the tail ratio to 1: no n_max meets tail_tol")
     n_tail = 0
     if q > 0.0:
-        m = max(0, int(np.ceil(np.log(tail_tol) / np.log(q))) - 1)
-        while q ** (m + 1) >= tail_tol:
+        m = max(0, int(np.ceil(np.log(TAIL_TOL) / np.log(q))) - 1)
+        while q ** (m + 1) >= TAIL_TOL:
             m += 1
         n_tail = 2 * m
     n_cover = mu_max + 10.0 / beta if mu_max > 0.0 else 0.0
     required = max(2, n_tail, int(np.ceil(n_cover)))
     if required % 2:
         required += 1
-    if required > cap:
+    if required > _TRUNCATION_CAP:
         raise CapacityError(
-            f"required truncation n_max={required} exceeds cap {cap}",
-            required_n_max=required,
-        )
+            f"required truncation n_max={required} exceeds cap {_TRUNCATION_CAP}")
     return required

@@ -51,7 +51,7 @@ def report(number, name, ok, elapsed=None):
 
 def make_reference_cat():
     mu_exact, mu_approx = mu_of_outcome(7.0 * BETA, BETA, XI2)
-    n_max = choose_truncation(XI2, BETA, max(mu_exact, mu_approx), 1e-10)
+    n_max = choose_truncation(XI2, BETA, max(mu_exact, mu_approx))
     squeezed = squeezed_state_exact(XI2, n_max)
     return apply_number_qnd(squeezed, BETA, 7.0 * BETA), mu_exact
 
@@ -83,7 +83,7 @@ def test_criterion_2_squeezed_state_moments():
     start = time.perf_counter()
     ok = True
     for xi2 in (2.0, 5.0, 20.0, 50.0):
-        state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, 1e-10))
+        state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0))
         dx2, dp2 = quadrature_variances(state)
         ok &= abs(dx2 - 1.0 / (2.0 * xi2)) <= 0.01 / (2.0 * xi2)
         ok &= abs(dp2 - xi2 / 2.0) <= 0.01 * xi2 / 2.0

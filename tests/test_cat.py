@@ -43,7 +43,7 @@ def vacuum_wavefunction(basis=Basis.P, count=512):
 
 def exact_fig_state_and_mu():
     mu_exact, _ = mu_of_outcome(7.0 * BETA, BETA, 20.0)
-    n_max = choose_truncation(20.0, BETA, 7.0, 1e-10)
+    n_max = choose_truncation(20.0, BETA, 7.0)
     squeezed = squeezed_state_exact(20.0, n_max)
     return apply_number_qnd(squeezed, BETA, 7.0 * BETA), mu_exact
 

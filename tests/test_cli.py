@@ -141,7 +141,7 @@ def test_squeeze_grid_that_misses_the_state_writes_no_file(tmp_path, capsys, mon
 # 173.5 is the last xi2 whose occupancy stays within HERMITE_N_BUDGET.
 @pytest.mark.parametrize("xi2", [1.0, 1.5, 2.0, 5.0, 20.0, 60.0, 100.0, 140.0, 173.5])
 def test_default_squeeze_grids_pass_the_coverage_check(xi2):
-    state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, 1e-10))
+    state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0))
     assert effective_max_index(state) <= HERMITE_N_BUDGET
     wavefunctions = _expand([(state, Basis.P), (state, Basis.X)], grid_for_state(state))
     _check_coverage(wavefunctions, *quadrature_variances(state))
@@ -282,7 +282,7 @@ def test_cat_grid_that_misses_the_state_writes_no_file(tmp_path, capsys, monkeyp
     ids=["reference", "large-100", "large-130"])
 def test_default_cat_grids_pass_the_coverage_check(xi2, beta, pr_over_beta):
     mu_exact, mu_approx = mu_of_outcome(beta * pr_over_beta, beta, xi2)
-    n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx), 1e-10)
+    n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx))
     cat = apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, beta * pr_over_beta)
     wavefunctions = _expand([(cat, Basis.P), (cat, Basis.X)],
                             default_cat_grid(mu_exact, beta, effective_max_index(cat)))
@@ -363,7 +363,7 @@ def test_cat_of_tiny_mu_leaves_out_the_approximate_x_file(tmp_path, capsys):
 ], ids=["beta-0.01-mu-100", "beta-third-mu-1e-10"])
 def test_default_cat_grid_stays_within_its_cap(xi2, beta, p_R):
     mu_exact, mu_approx = mu_of_outcome(p_R, beta, xi2)
-    n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx), 1e-10)
+    n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx))
     n_eff = effective_max_index(apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, p_R))
     grid = default_cat_grid(mu_exact, beta, n_eff)
     assert 0.0 < mu_exact and grid.half_width <= math.sqrt(2.0 * n_eff + 1.0) + 8.0

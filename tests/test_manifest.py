@@ -1,7 +1,7 @@
 """Every byte the manifest's commands write, print and return, against the
 committed `tests/golden/manifest.json` (see `tests/golden/regenerate.py`),
 and every refusal of the package, reached by one of those commands or by
-a refused call into an entry point that checks its own inputs."""
+a refused `spincat.cli.main` call."""
 
 import inspect
 import json
@@ -13,18 +13,8 @@ import numpy as np
 import pytest
 
 from helpers import GOLDEN, load_regenerate, raise_statements, traced_lines, traced_manifest
-from spincat import (
-    Basis,
-    DomainError,
-    ExperimentalParams,
-    QuadratureGrid,
-    RandomSource,
-    analyze_cat,
-    choose_truncation,
-)
-from spincat.cli import EXIT_CONFIG, main
-from spincat.io import atomic_write_text, write_wavefunction_csv
-from spincat.state import TAIL_TOL, QuadratureWavefunction
+from spincat.cli import EXIT_CONFIG, EXIT_NUMERIC, main
+from spincat.state import Basis, QuadratureWavefunction
 
 
 @pytest.fixture(scope="module")
@@ -50,50 +40,41 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The library entry points that check their own inputs, as the README
 # lists them.
-CHECKING_ENTRY_POINTS = (
-    "choose_truncation", "RandomSource", "RandomSource.for_trajectory",
-    "ExperimentalParams", "analyze_cat", "io.write_wavefunction_csv",
-    "io.atomic_write_text", "spincat.cli.main")
+CHECKING_ENTRY_POINTS = ("spincat.cli.main",)
 
 
-def make_refused_calls(tmp_path, monkeypatch):
-    """One refused call per check that a library entry point makes of its
-    own inputs: the entry points that scripts/ and the README drive with
-    raw arguments, listed in the README under "Library entry points that
-    check their inputs"."""
-    for args in ((0.5, 1.0, 0.0, TAIL_TOL), (20.0, 0.0, 0.0, TAIL_TOL),
-                 (20.0, 1.0, -1.0, TAIL_TOL), (20.0, 1.0, 0.0, 1e-3)):
-        with pytest.raises(DomainError):
-            choose_truncation(*args)
-    with pytest.raises(DomainError):
-        RandomSource(-1)
-    with pytest.raises(DomainError):
-        RandomSource.for_trajectory(2 ** 64, 0)
-    with pytest.raises(DomainError):
-        ExperimentalParams(kappa0=-1.0, gamma=1.0, delta=100.0, n_atoms=10, n_photons=10.0)
-    for xi2, beta in ((1.0, 0.5), (20.0, 0.0)):
-        with pytest.raises(DomainError):
-            analyze_cat(xi2, beta, 1.0)
+def make_refused_calls(tmp_path, monkeypatch, capsys):
+    """The refusals that no manifest command reaches, each through
+    `spincat.cli.main`: the two guards against faults of the package itself,
+    each shown a fault that a monkeypatch puts in, and an output name that
+    is an existing directory."""
+    with monkeypatch.context() as patched:  # a cat approximation that is not even
+        patched.setattr("spincat.cat.approx_p_wavefunction", lambda params, grid:
+                        QuadratureWavefunction(grid, np.arange(grid.count, dtype=float),
+                                               Basis.P))
+        assert main(["cat", "--xi2", "20", "--beta", "0.3333333333333333",
+                     "--pr-over-beta", "7", "--out-dir", str(tmp_path / "cat")]) == EXIT_NUMERIC
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "wavefunction values are not a bitwise palindrome", "kind": "DomainError"}
+    assert "cat_approx_p.csv" not in os.listdir(tmp_path / "cat")
 
-    lopsided = QuadratureWavefunction(QuadratureGrid(1.0, 3), np.array([1.0, 0.5, 2.0]),
-                                      Basis.X)
-    with pytest.raises(DomainError):
-        write_wavefunction_csv(lopsided, str(tmp_path / "wf.csv"))
-    assert os.listdir(tmp_path) == []
-    with monkeypatch.context() as patched, pytest.raises(FileExistsError):
+    (tmp_path / "doc").mkdir()
+    (tmp_path / "doc" / ".tmp-000000000000").touch()
+    with monkeypatch.context() as patched:
         patched.setattr(os, "urandom", bytes)  # every temp name is .tmp-000000000000
-        (tmp_path / ".tmp-000000000000").touch()
-        atomic_write_text(str(tmp_path / "doc.json"), ["{}\n"])
+        assert main(["feasibility", "--preset", "bec-cavity",
+                     "--out-dir", str(tmp_path / "doc")]) == EXIT_CONFIG
+    assert "no unused temporary file name" in capsys.readouterr().err
 
     (tmp_path / "out" / "squeeze_exact_state.csv").mkdir(parents=True)
     assert main(["squeeze", "--xi2", "2", "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
-def test_every_refusal_is_reached(manifest, tmp_path, monkeypatch):
+def test_every_refusal_is_reached(manifest, tmp_path, monkeypatch, capsys):
     """Every `raise <exception>` statement of the package runs in some
     manifest command or in `make_refused_calls`."""
     with traced_lines() as called:
-        make_refused_calls(tmp_path, monkeypatch)
+        make_refused_calls(tmp_path, monkeypatch, capsys)
     assert sorted(raise_statements() - manifest[1] - called) == []
 
 

@@ -46,7 +46,7 @@ BETA_FIG = 1.0 / 3.0
 
 
 def reference_cat_state():
-    n_max = choose_truncation(20.0, BETA_FIG, 7.0, 1e-10)
+    n_max = choose_truncation(20.0, BETA_FIG, 7.0)
     squeezed = squeezed_state_exact(20.0, n_max)
     return apply_number_qnd(squeezed, BETA_FIG, 7.0 * BETA_FIG)
 
@@ -95,8 +95,9 @@ def test_log_factorials_are_gammaln_bits(monkeypatch, steps):
 
 
 @pytest.mark.parametrize("xi2", [2.0, 20.0, 150.0])
-def test_squeezed_exact_bits_match_gammaln_build(xi2):
-    for n_max in (0, 24, choose_truncation(xi2, 1.0, 0.0, 1e-12), _TRUNCATION_CAP):
+def test_squeezed_exact_bits_match_gammaln_build(xi2, monkeypatch):
+    monkeypatch.setattr("spincat.state.TAIL_TOL", 1e-12)
+    for n_max in (0, 24, choose_truncation(xi2, 1.0, 0.0), _TRUNCATION_CAP):
         amps = np.zeros(n_max + 1)
         m = np.arange(0, n_max // 2 + 1)
         log_c = (m * np.log((xi2 - 1.0) / (2.0 * (xi2 + 1.0)))
@@ -161,7 +162,7 @@ def test_squeezed_stirling_near_degenerate_and_error():
 
 @pytest.mark.parametrize("xi2", [2.0, 5.0, 20.0, 50.0])
 def test_squeezed_variances(xi2):
-    state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, 1e-10))
+    state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0))
     dx2, dp2 = quadrature_variances(state)
     assert dx2 == pytest.approx(1.0 / (2.0 * xi2), rel=0.01)
     assert dp2 == pytest.approx(xi2 / 2.0, rel=0.01)
@@ -170,7 +171,7 @@ def test_squeezed_variances(xi2):
 @pytest.mark.parametrize("xi2", [2.0, 5.0, 20.0, 60.0])
 def test_squeezed_variances_match_the_grid_moments(xi2):
     # The x moment on the oracle's own grid is off by up to 3.0e-8 (xi2 = 60).
-    state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, 1e-10))
+    state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0))
     dx2, dp2 = quadrature_variances(state)
     grid_dx2, grid_dp2 = riemann_quadrature_variances(state)
     assert dp2 == pytest.approx(grid_dp2, rel=1e-12)
@@ -181,7 +182,7 @@ def test_squeezed_variances_match_longdouble_at_large_xi2():
     """<x^2> = <n> + 1/2 - Re<a^2> is the difference of two terms near 37.5,
     so its double-precision error scales with <p^2> = 75, not with <x^2>:
     7.9e-15, which is 2.4e-12 of <x^2>."""
-    state = squeezed_state_exact(150.0, choose_truncation(150.0, 1.0, 0.0, 1e-10))
+    state = squeezed_state_exact(150.0, choose_truncation(150.0, 1.0, 0.0))
     dx2, dp2 = quadrature_variances(state)
     ref_dx2, ref_dp2 = longdouble_quadrature_variances(state)
     assert abs(dp2 - ref_dp2) <= 1e-15 * ref_dp2
@@ -260,7 +261,7 @@ def test_apply_number_qnd_refuses_exactly_below_its_floor(xi2):
             p_R = beta * pr_over_beta
             mu_exact, mu_approx = mu_of_outcome(p_R, beta, xi2)
             state = squeezed_state_exact(xi2, choose_truncation(
-                xi2, beta, max(mu_exact, mu_approx, 0.0), TAIL_TOL))
+                xi2, beta, max(mu_exact, mu_approx, 0.0)))
             # The terms the oracle leaves out add below 1e-860 to a squared
             # norm compared with 1e-600.
             exact = float(exact_qnd_log_norm(state.amplitudes, beta, p_R))
@@ -285,7 +286,7 @@ def test_cat_refusal_reports_the_exact_log_norm_where_amplitudes_underflow():
     refused = 0
     for p_R in range(100, 151, 5):
         mu_exact, mu_approx = mu_of_outcome(float(p_R), beta, xi2)
-        n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx, 0.0), TAIL_TOL)
+        n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx, 0.0))
         exact = float(exact_squeezed_qnd_log_norm(xi2, n_max, beta, float(p_R)))
         if exact < protocol._LOG_IMPROBABLE:
             with pytest.raises(ImprobableOutcomeError) as info:
@@ -308,7 +309,7 @@ def test_parity_survives_both_steps_bitwise():
 @given(xi2=st.floats(1.0, 60.0), beta=st.floats(0.01, 3.0), p_r=st.floats(-10.0, 10.0))
 @settings(max_examples=40, deadline=None)
 def test_parity_conservation_property(xi2, beta, p_r):
-    n_max = choose_truncation(xi2, beta, 0.0, 1e-10, cap=100_000)
+    n_max = choose_truncation(xi2, beta, 0.0)
     state = squeezed_state_exact(xi2, min(n_max, 2000))
     try:
         out = apply_number_qnd(state, beta, p_r)
@@ -324,7 +325,7 @@ def test_parity_premise_of_the_mirrored_expansion(xi2, beta, p_r, odd):
     """What the half-grid expansion and writer rest on: every state the
     protocol builds is zero at odd n, bit for bit, and the analytic cat
     wavefunctions are bitwise even on symmetric grids."""
-    n_max = min(choose_truncation(xi2, beta, 0.0, 1e-10, cap=100_000), 2000)
+    n_max = min(choose_truncation(xi2, beta, 0.0), 2000)
     states = [squeezed_state_exact(xi2, n_max)]
     if xi2 > 1.0:
         states.append(squeezed_state_stirling(xi2, n_max))
@@ -443,7 +444,7 @@ def test_outcome_sampler_reproducible_and_rejects_negative_beta(tmp_path, capsys
 # near-vacuum state, a beta near the top of the double range, and the
 # large point.
 SAMPLED_POINTS = [(20.0, BETA_FIG), (1.5, 2.0), (1.0000000000000002, 1e300), (200.0, 0.05)]
-SAMPLED_STATES = [squeezed_state_exact(xi2, choose_truncation(xi2, beta, 0.0, 1e-10))
+SAMPLED_STATES = [squeezed_state_exact(xi2, choose_truncation(xi2, beta, 0.0))
                   for xi2, beta in SAMPLED_POINTS]
 
 
@@ -495,8 +496,6 @@ def test_mu_of_outcome_limits_and_errors():
     mu_exact, _ = mu_of_outcome(-3.0, 1.0, 2.0)
     assert mu_exact == pytest.approx(-3.0 + 0.5 * np.log(1.0 / 3.0), abs=1e-12)
     assert mu_exact < -3.0
-    with pytest.raises(DomainError):
-        mu_of_outcome(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         mu_of_outcome(1.0, 0.0, 2.0)
 

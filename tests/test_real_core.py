@@ -83,7 +83,7 @@ def test_cat_against_oracles(xi2, beta, pr_over_beta):
 
 @pytest.mark.parametrize("xi2", [20.0, 150.0])
 def test_squeeze_against_oracles(xi2):
-    n_max = choose_truncation(xi2, 1.0, 0.0, 1e-10)
+    n_max = choose_truncation(xi2, 1.0, 0.0)
     exact = squeezed_state_exact(xi2, n_max)
     stirling = squeezed_state_stirling(xi2, n_max)
     grid = grid_for_state(exact)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,6 @@ from spincat import (
 from spincat.io import format_coords, write_number_state_csv, write_wavefunction_csv
 from spincat import default_cat_grid
 from spincat.state import (
-    TAIL_TOL,
     QuadratureWavefunction,
     _expand,
     _hermite_rows,
@@ -129,7 +129,7 @@ def test_vacuum_x_representation_is_gaussian():
 
 def test_squeezed_p_representation_against_quadrature_oracle():
     xi2 = 3.0
-    n_max = choose_truncation(xi2, 1.0, 0.0, 1e-10)
+    n_max = choose_truncation(xi2, 1.0, 0.0)
     state = squeezed_state_exact(xi2, n_max)
     grid = QuadratureGrid(8.0, 1024)
     wf = to_quadrature(state, grid, Basis.P)
@@ -149,7 +149,7 @@ def even_states():
     """Even-parity states: squeezed and cat."""
     from spincat import apply_number_qnd
 
-    squeezed = squeezed_state_exact(20.0, choose_truncation(20.0, 1.0, 0.0, 1e-10))
+    squeezed = squeezed_state_exact(20.0, choose_truncation(20.0, 1.0, 0.0))
     return squeezed, apply_number_qnd(squeezed, 1.0 / 3.0, 7.0 / 3.0)
 
 
@@ -232,21 +232,23 @@ def test_double_fourier_is_parity():
 
 
 def test_choose_truncation_vacuum_floor():
-    assert choose_truncation(1.0, 1.0, 0.0, 1e-10) == 2
+    assert choose_truncation(1.0, 1.0, 0.0) == 2
 
 
 def test_choose_truncation_reference_case():
-    n_max = choose_truncation(20.0, 1.0 / 3.0, 7.0, 1e-10)
+    n_max = choose_truncation(20.0, 1.0 / 3.0, 7.0)
     assert n_max % 2 == 0
     assert n_max >= 37
     # the promised tail mass, summed exactly, holds at the returned truncation
     assert squeezed_tail_mass(20.0, n_max) < 1e-10
 
 
-def test_choose_truncation_cap():
+def test_choose_truncation_cap(monkeypatch):
+    monkeypatch.setattr("spincat.state._TRUNCATION_CAP", 16)
     with pytest.raises(CapacityError) as info:
-        choose_truncation(20.0, 1.0 / 3.0, 7.0, 1e-30, cap=16)
-    assert info.value.required_n_max > 16
+        choose_truncation(20.0, 1.0 / 3.0, 7.0)
+    named = re.fullmatch(r"required truncation n_max=(\d+) exceeds cap 16", str(info.value))
+    assert named and int(named.group(1)) > 16
 
 
 @given(xi2=st.floats(1.0, 215.0), beta=st.floats(0.05, 3.0), mu=st.floats(0.0, 50.0),
@@ -257,10 +259,13 @@ def test_choose_truncation_cap():
 @example(xi2=215.0, beta=1.0, mu=0.0, tol_exponent=-4.0)
 @settings(max_examples=40, deadline=None)
 def test_choose_truncation_bounds_hold(xi2, beta, mu, tol_exponent):
-    """The exact tail mass beyond n_max is below tail_tol for xi2 from 1 to
-    215 (the default cap's reach) and tail_tol from 1e-20 to 1e-4."""
+    """The exact tail mass beyond n_max is below TAIL_TOL for xi2 from 1 to
+    215 (the default cap's reach) and TAIL_TOL set from 1e-20 to 1e-4."""
     tail_tol = 10.0 ** tol_exponent
-    n_max = choose_truncation(xi2, beta, mu, tail_tol, cap=100_000)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr("spincat.state.TAIL_TOL", tail_tol)
+        patched.setattr("spincat.state._TRUNCATION_CAP", 100_000)
+        n_max = choose_truncation(xi2, beta, mu)
     assert n_max % 2 == 0 and n_max >= 2
     if mu > 0:
         assert n_max >= mu + 10.0 / beta - 1.0
@@ -273,13 +278,13 @@ def test_choose_truncation_bounds_hold(xi2, beta, mu, tol_exponent):
 
 @pytest.mark.parametrize("xi2", [1.0, 3.0, 20.0])
 def test_parseval(xi2):
-    state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, 1e-10))
+    state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0))
     wf = to_quadrature(state, grid_for_state(state), Basis.P)
     assert riemann_norm(wf) == pytest.approx(np.linalg.norm(state.amplitudes), abs=1e-6)
 
 
 def test_basis_consistency_even_states():
-    state = squeezed_state_exact(5.0, choose_truncation(5.0, 1.0, 0.0, 1e-10))
+    state = squeezed_state_exact(5.0, choose_truncation(5.0, 1.0, 0.0))
     grid = grid_for_state(state)
     via_x = to_quadrature(state, grid, Basis.X)
     via_ft = fourier_pair(to_quadrature(state, grid, Basis.P).values, grid)
@@ -336,7 +341,7 @@ def oracle_default_cat_grid(mu, beta, n_eff):
 
 def swept_squeezed_states():
     for xi2 in SWEEP_XI2:
-        yield squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, 1e-10))
+        yield squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0))
 
 
 def test_grid_sizes_match_the_former_formulas():
@@ -428,9 +433,9 @@ def test_effective_max_index_drops_at_most_its_bound():
     (n_max - n_eff) * (1e-12 * peak)**2, against the dropped squares summed
     exactly in fractions, for squeezes from xi2 1 to 173.5 (the last whose
     occupancy HERMITE_N_BUDGET takes) and a seeded cat draw."""
-    squeezes = [squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0, TAIL_TOL))
+    squeezes = [squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0))
                 for xi2 in np.geomspace(1.0, 173.5, 25)]
-    reference = squeezed_state_exact(20.0, choose_truncation(20.0, 1.0 / 3.0, 0.0, TAIL_TOL))
+    reference = squeezed_state_exact(20.0, choose_truncation(20.0, 1.0 / 3.0, 0.0))
     p_R = sample_second_outcome(reference, 1.0 / 3.0, RandomSource(7))
     for state in (*squeezes, apply_number_qnd(reference, 1.0 / 3.0, p_R)):
         mags = np.abs(state.amplitudes)
