@@ -20,7 +20,7 @@ import numpy as np
 from scipy.stats import chi2, norm
 
 import spincat.cli
-from spincat import squeezed_state_exact
+from spincat.protocol import squeezed_state_exact
 
 
 def run_command(argv):

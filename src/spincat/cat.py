@@ -60,16 +60,6 @@ _ENVELOPE_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
-class CatApproxParams:
-    mu: float
-    beta: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.beta * self.beta) and self.beta > 0.0):
-            raise DomainError(f"beta must be positive with a finite square, got {self.beta}")
-
-
-@dataclass(frozen=True)
 class CatMetrics:
     peak_positions: tuple[float, float] | None
     peak_std: float | None
@@ -82,22 +72,24 @@ class CatMetrics:
     combined: bool
 
 
-def approx_p_wavefunction(params: CatApproxParams, grid: QuadratureGrid) -> QuadratureWavefunction:
-    """Two-Gaussian approximation in p for mu > 0, normalized on the grid;
-    exactly even, since every grid is symmetric by construction."""
+def approx_p_wavefunction(mu: float, beta: float, grid: QuadratureGrid) -> QuadratureWavefunction:
+    """Two-Gaussian approximation in p for mu > 0 and beta > 0 with a
+    finite square, normalized on the grid; exactly even, since every grid
+    is symmetric by construction."""
     p = grid.points()
-    s = np.sqrt(2.0 * params.mu)
-    c = params.beta ** 2 * params.mu
+    s = np.sqrt(2.0 * mu)
+    c = beta ** 2 * mu
     values = np.exp(-(p - s) ** 2 * c) + np.exp(-(p + s) ** 2 * c)
     return riemann_normalize(QuadratureWavefunction(grid, values, Basis.P))
 
 
-def approx_x_wavefunction(params: CatApproxParams, grid: QuadratureGrid) -> QuadratureWavefunction:
-    """Envelope-times-cosine approximation in x for mu > 0, normalized on
-    the grid, which resolves the fringe period 2 pi / sqrt(2 mu)."""
-    s = np.sqrt(2.0 * params.mu)
+def approx_x_wavefunction(mu: float, beta: float, grid: QuadratureGrid) -> QuadratureWavefunction:
+    """Envelope-times-cosine approximation in x for mu > 0 and beta > 0
+    with a finite square, normalized on the grid, which resolves the fringe
+    period 2 pi / sqrt(2 mu)."""
+    s = np.sqrt(2.0 * mu)
     x = grid.points()
-    values = np.exp(-x * x / (4.0 * params.beta ** 2 * params.mu)) * np.cos(x * s)
+    values = np.exp(-x * x / (4.0 * beta ** 2 * mu)) * np.cos(x * s)
     return riemann_normalize(QuadratureWavefunction(grid, values, Basis.X))
 
 
@@ -283,13 +275,14 @@ def analyze_cat(xi2: float, beta: float, p_R: float):
     wavefunctions = [("cat_p", exact_p), ("cat_x", exact_x)]
     overlap_p = None
     if mu_exact > 0.0:
-        params = CatApproxParams(mu=mu_exact, beta=beta)
-        approx_p = approx_p_wavefunction(params, grid)
+        if not (np.isfinite(beta * beta) and beta > 0.0):
+            raise DomainError(f"beta must be positive with a finite square, got {beta}")
+        approx_p = approx_p_wavefunction(mu_exact, beta, grid)
         wavefunctions.append(("cat_approx_p", approx_p))
         # At a tiny mu the x envelope is so narrow against the spacing that
         # the squares of its values underflow: with no norm, it is left out.
         with contextlib.suppress(DegenerateStateError):
-            wavefunctions.append(("cat_approx_x", approx_x_wavefunction(params, grid)))
+            wavefunctions.append(("cat_approx_x", approx_x_wavefunction(mu_exact, beta, grid)))
         overlap_p = overlap(exact_p, approx_p)
 
     metrics = asdict(compute_cat_metrics(exact_p, exact_x, mu_exact, beta, xi2))

@@ -72,7 +72,9 @@ _XI2 = Field(required=True, minimum=1.0, strict=True)
 _BETA = Field(required=True, minimum=0.0, strict=True)
 _SEED = Field(int, default=0, minimum=0, maximum=2 ** 64 - 1)
 _OUT_DIR = Field(str, default=".")
-# ExperimentalParams checks their bounds and gives the defaults.
+_POSITIVE = Field(minimum=0.0, strict=True)
+# The feasibility fields; ExperimentalParams gives their defaults, and
+# _feasibility_rules checks the two bounds a single field cannot state.
 _PARAMS = fields(ExperimentalParams)
 
 FIELDS = {
@@ -94,7 +96,10 @@ FIELDS = {
     },
     "feasibility": {
         "preset": Field(str, choices=tuple(sorted(PRESETS))),
-        **{p.name: Field(int if p.name == "n_atoms" else float) for p in _PARAMS},
+        "kappa0": _POSITIVE, "gamma": _POSITIVE, "delta": Field(),
+        "n_atoms": Field(int, minimum=1), "n_photons": _POSITIVE,
+        "transmission": replace(_POSITIVE, maximum=1), "polarization": _POSITIVE,
+        "tau_c": _POSITIVE,
         "out_dir": _OUT_DIR,
     },
 }
@@ -218,10 +223,12 @@ def _feasibility_rules(cfg):
                      if p.default is MISSING and p.name not in given]:
         yield from (f"{name} is required" for name in missing)
     else:
-        try:
-            cfg.params = ExperimentalParams(**given)
-        except SpinCatError as exc:
-            yield str(exc)
+        cfg.params = params = ExperimentalParams(**given)
+        if not params.delta >= 10.0 * params.gamma:
+            yield (f"delta must satisfy the far-detuned bound delta >= 10*gamma "
+                   f"(got delta={params.delta}, gamma={params.gamma})")
+        if not params.polarization < 1.0:
+            yield f"polarization must be < 1, got {params.polarization!r}"
 
 
 # ---------------------------------------------------------------------------

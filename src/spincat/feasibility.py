@@ -23,8 +23,9 @@ _DEPTH_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExperimentalParams:
-    """Sample and probe parameters.  `__post_init__` checks every bound on
-    them, once; `evaluate_scenario` relies on it and checks none again."""
+    """Sample and probe parameters.  `spincat.cli.FIELDS` and
+    `cli._feasibility_rules` check their bounds; `evaluate_scenario`
+    checks none of them."""
 
     kappa0: float            # resonant optical depth (dimensionless)
     gamma: float             # linewidth
@@ -34,30 +35,6 @@ class ExperimentalParams:
     transmission: float = 1.0    # cavity T; 1 = free space
     polarization: float = 0.99   # spin polarization fraction
     tau_c: float = 0.1           # ground-state coherence time, seconds
-
-    def __post_init__(self):
-        problems = []
-        if not self.kappa0 > 0:
-            problems.append(f"kappa0 must be positive (got {self.kappa0})")
-        if not self.gamma > 0:
-            problems.append(f"gamma must be positive (got {self.gamma})")
-        if not self.delta >= 10.0 * self.gamma:
-            problems.append(
-                f"delta must satisfy the far-detuned bound delta >= 10*gamma "
-                f"(got delta={self.delta}, gamma={self.gamma})"
-            )
-        if not self.n_atoms >= 1:
-            problems.append(f"n_atoms must be >= 1 (got {self.n_atoms})")
-        if not self.n_photons > 0:
-            problems.append(f"n_photons must be positive (got {self.n_photons})")
-        if not 0.0 < self.transmission <= 1.0:
-            problems.append(f"transmission must lie in (0, 1] (got {self.transmission})")
-        if not 0.0 < self.polarization < 1.0:
-            problems.append(f"polarization must lie in (0, 1) (got {self.polarization})")
-        if not self.tau_c > 0:
-            problems.append(f"tau_c must be positive (got {self.tau_c})")
-        if problems:
-            raise DomainError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -84,7 +61,9 @@ class FeasibilityReport:
 
 
 def evaluate_scenario(params: ExperimentalParams) -> FeasibilityReport:
-    """The chain, in one pass over parameters `ExperimentalParams` checked:
+    """The chain, in one pass over parameters inside the bounds that
+    `spincat.cli` checks (kappa0, gamma, n_photons, tau_c > 0, n_atoms >=
+    1, 0 < transmission <= 1, 0 < polarization < 1, delta >= 10 gamma):
     kappa_detuned = kappa0 gamma^2 / 4 delta^2, theta_detuned =
     kappa0 gamma / 2 delta; in a cavity (T < 1) each single-pass value v
     must lie below T/10 and becomes 2 v / T, and the effective depth is

@@ -6,9 +6,9 @@ floats their shortest repr, both enough to round-trip doubles.
 Values are real, so the im column of every CSV is the constant 0.
 Parity: wavefunction values must be a bitwise palindrome (every even
 state on a grid, all of which are symmetric), and grid points are
-bitwise antisymmetric, so only the upper half of each column is
-formatted; the lower half reuses that text, so the bytes are those of
-formatting every point.
+bitwise antisymmetric, so only the rows of the upper half are
+formatted; the lower half is those rows in reverse, each behind a "-",
+so the bytes are those of formatting every point.
 
 Every writer hands `atomic_write_text` its text in chunks of at most
 _CHUNK_ROWS rows, so a command's text buffers do not grow with the size
@@ -34,7 +34,7 @@ _CHUNK_ROWS = 1024
 # the same text as f"{x:.17g}", faster.
 _FIELD = "%.17g"
 _STATE_ROW = "%d,%.17g,0\n"
-_WAVEFUNCTION_TAIL = ",%.17g,0,%.17g\n"
+_WAVEFUNCTION_ROW = "%s,%.17g,0,%.17g\n"
 _HISTOGRAM_ROW = "%.17g,%.17g,%d\n"
 # One trajectory record as json.dumps(record, sort_keys=True) writes it; the
 # head holds the flags, which take four values within one command.
@@ -97,19 +97,18 @@ def _palindrome_half(values: np.ndarray) -> int:
 
 
 def format_coords(grid: QuadratureGrid) -> list[str]:
-    """The formatted coordinate column of a wavefunction CSV on `grid`: the
-    lower half is the upper half's text behind a "-", since the points are
-    bitwise antisymmetric (a +0.0 upper point mirrors to -0.0, "-0")."""
-    half = grid.count // 2
-    upper = [_FIELD % x for x in grid.points()[half:].tolist()]
-    return ["-" + text for text in upper[::-1][:half]] + upper
+    """The formatted coordinates of the upper half of `grid`, from the
+    middle point (for an odd count) or the first positive one up."""
+    return [_FIELD % x for x in grid.points()[grid.count // 2:].tolist()]
 
 
 def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
                            coords: list[str] | None = None) -> None:
     """Values that are not a bitwise palindrome raise DomainError, and no
     file is written.  `coords`, if given, is `format_coords(wf.grid)`,
-    computed once for several files on one grid."""
+    computed once for several files on one grid.  A lower row is its
+    mirrored upper row behind a "-", as the points are bitwise
+    antisymmetric (a +0.0 upper point mirrors to -0.0, "-0")."""
     if coords is None:
         coords = format_coords(wf.grid)
     vals = wf.values
@@ -124,11 +123,12 @@ def write_wavefunction_csv(wf: QuadratureWavefunction, path: str, *,
     except OverflowError:
         # A Python float raises where numpy's scalar gives inf (|x| > 1.3e154).
         abs2 = [x ** 2 for x in upper]
-    tails = [_WAVEFUNCTION_TAIL % row for row in zip(upper.tolist(), abs2)]
-    tails = tails[::-1][:half] + tails
-    atomic_write_text(path, chain(("coord,re,im,abs2\n",), (
-        "".join(map(str.__add__, coords[i:i + _CHUNK_ROWS], tails[i:i + _CHUNK_ROWS]))
-        for i in range(0, wf.grid.count, _CHUNK_ROWS))))
+    rows = [_WAVEFUNCTION_ROW % row for row in zip(coords, upper.tolist(), abs2)]
+    lower = rows[::-1][:half]
+    atomic_write_text(path, chain(
+        ("coord,re,im,abs2\n",),
+        ("-" + "-".join(lower[i:i + _CHUNK_ROWS]) for i in range(0, half, _CHUNK_ROWS)),
+        ("".join(rows[i:i + _CHUNK_ROWS]) for i in range(0, len(rows), _CHUNK_ROWS))))
 
 
 def write_json(obj, path: str) -> None:

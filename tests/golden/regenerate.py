@@ -10,19 +10,38 @@ runs in-process through `spincat.cli.main`, each into its own empty
 directory.
 
     python tests/golden/regenerate.py    # rewrite tests/golden/manifest.json
+    python tests/golden/regenerate.py --keep DIR [--src PATH]
+    python tests/golden/regenerate.py --compare A B
 
 `tests/test_manifest.py` recomputes the manifest and compares it with the
 committed one.  A change that moves output bytes on purpose reruns this
 script and names the entries that changed.
+
+`--keep DIR` runs the manifest's commands with the package under PATH
+(default: this checkout's `src/`) and keeps each entry's outputs under
+`DIR/<entry>/`: `exit`, `stdout` and `stderr` (the output directory
+written as "<out>") and the files in `files/`; it leaves the manifest
+as it is.  `--compare A B` prints one line per difference between two
+such directories, say of the parent commit's package and of a change,
+and exits 1 if there is any:
+
+* a changed exit code, with both codes;
+* for a CSV on the same grid, the largest |delta| of its values relative
+  to the file's peak, and the coordinate range of the rows that differ;
+* for a CSV whose grid changed, both point counts;
+* for JSON (stdout, stderr, `*.json`), the keys whose values differ;
+* for other text, how many lines differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -127,9 +146,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(argv: list[str], out_dir: str) -> dict:
-    """Exit code and hashes of one in-process command writing into out_dir,
-    or into the --out-dir that argv gives."""
+def execute(argv: list[str], out_dir: str) -> tuple[int, str, str, str]:
+    """(exit code, stdout, stderr, output directory) of one in-process
+    command writing into out_dir, or into the --out-dir that argv gives;
+    stdout and stderr write the output directory as "<out>"."""
     from spincat.cli import main
 
     command = argv + ["--out-dir", out_dir]
@@ -138,14 +158,19 @@ def run(argv: list[str], out_dir: str) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(command)
+    return (code, stdout.getvalue().replace(out_dir, "<out>"),
+            stderr.getvalue().replace(out_dir, "<out>"), out_dir)
+
+
+def run(argv: list[str], out_dir: str) -> dict:
+    """Exit code and hashes of one in-process command (see `execute`)."""
+    code, stdout, stderr, out_dir = execute(argv, out_dir)
     files = {}
     if os.path.isdir(out_dir):
         for name in sorted(os.listdir(out_dir)):
             files[name] = _sha(Path(out_dir, name).read_bytes())
-    return {"argv": argv, "exit": code,
-            "stdout": _sha(stdout.getvalue().replace(out_dir, "<out>").encode()),
-            "stderr": _sha(stderr.getvalue().replace(out_dir, "<out>").encode()),
-            "files": files}
+    return {"argv": argv, "exit": code, "stdout": _sha(stdout.encode()),
+            "stderr": _sha(stderr.encode()), "files": files}
 
 
 def environment() -> dict:
@@ -179,8 +204,127 @@ def differences(committed: dict, fresh: dict) -> list[str]:
     return lines
 
 
-def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))  # the package of this checkout
+def keep(entries: dict[str, list[str]], directory: str) -> None:
+    """Run each entry's argv and keep what it gives under
+    directory/<entry>/ (see the module docstring).  The directory must not
+    exist yet, so no earlier run's file is left in it."""
+    Path(directory).mkdir(parents=True)
+    for name, argv in entries.items():
+        entry = Path(directory, name)
+        code, stdout, stderr, _ = execute(argv, str(entry / "files"))
+        entry.mkdir(parents=True, exist_ok=True)
+        (entry / "exit").write_text(f"{code}\n")
+        (entry / "stdout").write_text(stdout)
+        (entry / "stderr").write_text(stderr)
+
+
+def _flat(obj, prefix: str = "") -> dict:
+    """The leaves of nested JSON objects, by dotted key path."""
+    if not isinstance(obj, dict):
+        return {prefix: obj}
+    leaves = {}
+    for key, value in obj.items():
+        leaves.update(_flat(value, f"{prefix}.{key}" if prefix else key))
+    return leaves
+
+
+def _json_keys(text: str):
+    """The leaves of `text` when it is a JSON object, else None."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    return _flat(doc) if isinstance(doc, dict) else None
+
+
+def _csv_difference(old: str, new: str) -> str:
+    """How far the rows of two CSV texts (header, then one row a point,
+    its coordinate first) lie apart."""
+    rows_old = [line.split(",") for line in old.splitlines()[1:]]
+    rows_new = [line.split(",") for line in new.splitlines()[1:]]
+    if [row[0] for row in rows_old] != [row[0] for row in rows_new]:
+        return f"grid changed: {len(rows_old)} -> {len(rows_new)} points"
+    peak = max((abs(float(x)) for row in rows_old for x in row[1:]), default=0.0)
+    changed = [i for i, (a, b) in enumerate(zip(rows_old, rows_new)) if a != b]
+    if not changed:
+        return "header differs"
+    largest = 0.0
+    for i in changed:
+        for x, y in zip(rows_old[i][1:], rows_new[i][1:]):
+            delta = abs(float(x) - float(y)) if x != y else 0.0
+            largest = max(largest, delta if delta == delta else math.inf)
+    relative = largest / peak if peak else math.inf
+    return (f"max |delta| {relative:.3g} of the peak {peak:.3g}, in {len(changed)} of "
+            f"{len(rows_old)} rows, coord {rows_old[changed[0]][0]} to "
+            f"{rows_old[changed[-1]][0]}")
+
+
+def _file_difference(old: Path, new: Path) -> str | None:
+    """How two kept outputs differ, or None where they are the same."""
+    if not old.exists() or not new.exists():
+        return "added" if new.exists() else "missing"
+    old_text, new_text = old.read_text(), new.read_text()
+    if old_text == new_text:
+        return None
+    if old.suffix == ".csv":
+        return _csv_difference(old_text, new_text)
+    keys_old, keys_new = _json_keys(old_text), _json_keys(new_text)
+    if keys_old is not None and keys_new is not None:
+        differ = [key for key in sorted(set(keys_old) | set(keys_new))
+                  if key not in keys_old or key not in keys_new
+                  or repr(keys_old[key]) != repr(keys_new[key])]
+        return f"keys differ: {', '.join(differ)}" if differ else "same values, text differs"
+    lines_old, lines_new = old_text.splitlines(), new_text.splitlines()
+    differ = sum(a != b for a, b in zip(lines_old, lines_new))
+    return (f"{differ + abs(len(lines_old) - len(lines_new))} of "
+            f"{max(len(lines_old), len(lines_new))} lines differ")
+
+
+def compare(a: str, b: str) -> list[str]:
+    """One line per difference between the directories `keep` wrote for
+    the same entries, A the old and B the new."""
+    names = sorted({str(path.parent.relative_to(root)) for root in (Path(a), Path(b))
+                    for path in root.glob("**/exit")})
+    lines = []
+    for name in names:
+        old, new = Path(a, name), Path(b, name)
+        if not (old / "exit").exists() or not (new / "exit").exists():
+            lines.append(f"{name}: {'added' if (new / 'exit').exists() else 'missing'}")
+            continue
+        codes = [int((entry / "exit").read_text()) for entry in (old, new)]
+        if codes[0] != codes[1]:
+            lines.append(f"{name}: exit {codes[0]} -> {codes[1]}")
+        files = sorted({path.name for entry in (old, new) for path in entry.glob("files/*")})
+        for file in ["stdout", "stderr", *(f"files/{file}" for file in files)]:
+            difference = _file_difference(old / file, new / file)
+            if difference is not None:
+                lines.append(f"{name}: {file}: {difference}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--keep", metavar="DIR",
+                      help="keep every entry's outputs under DIR; the manifest stays")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="print how the outputs kept in B differ from those in A")
+    parser.add_argument("--src", metavar="PATH",
+                        help="with --keep, the directory holding the package to run "
+                             "(default: src/ of this checkout)")
+    args = parser.parse_args(argv)
+    if args.src and not args.keep:
+        parser.error("--src goes with --keep")
+    if args.compare:
+        lines = compare(*args.compare)
+        print("\n".join(lines) or "no entry differs")
+        return 1 if lines else 0
+    sys.path.insert(0, args.src or str(ROOT / "src"))  # the package to run
+    if args.keep:
+        entries = commands()
+        keep(entries, args.keep)
+        print(f"kept {len(entries)} entries in {args.keep}")
+        return 0
     fresh = compute()
     if MANIFEST.exists():
         for line in differences(json.loads(MANIFEST.read_text()), fresh):

@@ -15,30 +15,32 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from helpers import brute_force_number_qnd, chi_square_vs_mixture, fourier_pair, normalized
-from spincat import (
-    Basis,
-    CatApproxParams,
-    NumberState,
-    PRESETS,
-    RandomSource,
-    apply_number_qnd,
+from spincat.cat import (
     approx_p_wavefunction,
     approx_x_wavefunction,
     check_cat_conditions,
-    choose_truncation,
-    default_cat_grid,
     detect_peaks,
-    evaluate_scenario,
-    mu_of_outcome,
     overlap,
-    quadrature_variances,
-    riemann_normalize,
-    sample_second_outcome,
-    squeezed_state_exact,
-    to_quadrature,
 )
 from spincat.cli import main as cli_main
-from spincat.state import effective_max_index
+from spincat.feasibility import PRESETS, evaluate_scenario
+from spincat.protocol import (
+    apply_number_qnd,
+    mu_of_outcome,
+    quadrature_variances,
+    sample_second_outcome,
+    squeezed_state_exact,
+)
+from spincat.state import (
+    Basis,
+    NumberState,
+    RandomSource,
+    choose_truncation,
+    default_cat_grid,
+    effective_max_index,
+    riemann_normalize,
+    to_quadrature,
+)
 
 XI2 = 20.0
 BETA = 1.0 / 3.0
@@ -67,7 +69,7 @@ def test_criterion_1_reference_cat_reproduction():
     within = (abs(abs(positions[0]) - target) <= 0.05 * target
               and abs(abs(positions[-1]) - target) <= 0.05 * target)
 
-    approx = approx_p_wavefunction(CatApproxParams(mu=mu_exact, beta=BETA), grid)
+    approx = approx_p_wavefunction(mu_exact, BETA, grid)
     fidelity = overlap(exact_p, approx)
     elapsed = time.perf_counter() - start
 
@@ -146,10 +148,9 @@ def test_criterion_5_fourier_hermite_consistency():
     worst = 0.0
     for mu in (mu_exact, mu_approx):
         grid = default_cat_grid(mu, BETA, n_eff)
-        params = CatApproxParams(mu=mu, beta=BETA)
-        via_ft = normalized(fourier_pair(approx_p_wavefunction(params, grid).values, grid),
+        via_ft = normalized(fourier_pair(approx_p_wavefunction(mu, BETA, grid).values, grid),
                             grid.spacing)
-        direct = approx_x_wavefunction(params, grid)
+        direct = approx_x_wavefunction(mu, BETA, grid)
         worst = max(worst, float(np.max(np.abs(via_ft - direct.values))))
     ok = worst < 1e-4
     report(5, f"x wavefunction via Fourier matches analytic form (err {worst:.2e})", ok)
@@ -162,8 +163,7 @@ def test_criterion_6_condition_algebra_and_boundary():
 
     mu_boundary = 1.0 / BETA
     n_eff = effective_max_index(make_reference_cat()[0])
-    wf = approx_p_wavefunction(CatApproxParams(mu=mu_boundary, beta=BETA),
-                               default_cat_grid(mu_boundary, BETA, n_eff))
+    wf = approx_p_wavefunction(mu_boundary, BETA, default_cat_grid(mu_boundary, BETA, n_eff))
     positions, widths = detect_peaks(wf)
     ratio = (positions[1] - positions[0]) / (widths[0] + widths[1])
     analytic = 2.0 * BETA * mu_boundary

@@ -5,35 +5,35 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from helpers import fourier_pair, hermite_basis, normalized
-from spincat import (
-    Basis,
-    CatApproxParams,
-    NoFringeError,
-    NumberState,
-    QuadratureGrid,
+from spincat.cat import (
+    _local_maxima,
+    analyze_cat,
     approx_p_wavefunction,
     approx_x_wavefunction,
-    analyze_cat,
-    apply_number_qnd,
     check_cat_conditions,
-    choose_truncation,
     compute_cat_metrics,
-    default_cat_grid,
     detect_peaks,
     fringe_metrics,
-    mu_of_outcome,
     overlap,
+)
+from spincat.errors import NoFringeError
+from spincat.protocol import apply_number_qnd, mu_of_outcome, squeezed_state_exact
+from spincat.state import (
+    Basis,
+    NumberState,
+    QuadratureGrid,
+    QuadratureWavefunction,
+    choose_truncation,
+    default_cat_grid,
+    effective_max_index,
     quadrature_moment,
     riemann_norm,
     riemann_normalize,
-    squeezed_state_exact,
     to_quadrature,
 )
-from spincat.cat import _local_maxima
-from spincat.state import QuadratureWavefunction, effective_max_index
 
 BETA = 1.0 / 3.0
-FIG_PARAMS = CatApproxParams(mu=7.0, beta=BETA)
+FIG_MU = 7.0
 
 
 def vacuum_wavefunction(basis=Basis.P, count=512):
@@ -60,7 +60,7 @@ def fig_grid(mu):
 
 def test_approx_p_peak_locations_and_width():
     grid = fig_grid(7.0)
-    wf = approx_p_wavefunction(FIG_PARAMS, grid)
+    wf = approx_p_wavefunction(FIG_MU, BETA, grid)
     positions, widths = detect_peaks(wf)
     target = np.sqrt(14.0)
     assert len(positions) == 2
@@ -75,7 +75,7 @@ def test_approx_p_peak_locations_and_width():
 
 def test_approx_p_is_machine_symmetric():
     grid = fig_grid(7.0)
-    wf = approx_p_wavefunction(FIG_PARAMS, grid)
+    wf = approx_p_wavefunction(FIG_MU, BETA, grid)
     assert np.array_equal(wf.values, wf.values[::-1])
 
 
@@ -93,7 +93,7 @@ def test_approx_p_rejects_non_positive_mu():
 
 def test_approx_x_fringe_period_and_envelope():
     grid = fig_grid(7.0)
-    wf = approx_x_wavefunction(FIG_PARAMS, grid)
+    wf = approx_x_wavefunction(FIG_MU, BETA, grid)
     period, visibility = fringe_metrics(wf)
     assert period == pytest.approx(2.0 * np.pi / np.sqrt(14.0), rel=0.02)
     assert visibility > 0.99
@@ -115,9 +115,9 @@ def test_approx_x_requires_resolved_fringes():
 
 def test_approx_consistency_under_fourier():
     grid = fig_grid(7.0)
-    via_ft = normalized(fourier_pair(approx_p_wavefunction(FIG_PARAMS, grid).values, grid),
+    via_ft = normalized(fourier_pair(approx_p_wavefunction(FIG_MU, BETA, grid).values, grid),
                         grid.spacing)
-    direct = approx_x_wavefunction(FIG_PARAMS, grid)
+    direct = approx_x_wavefunction(FIG_MU, BETA, grid)
     assert np.max(np.abs(via_ft - direct.values)) < 1e-4
 
 
@@ -218,7 +218,7 @@ def test_overlap_exact_cat_with_approximation():
     cat, mu_exact = exact_fig_state_and_mu()
     grid = fig_grid(mu_exact)
     exact_p = riemann_normalize(to_quadrature(cat, grid, Basis.P))
-    approx_p = approx_p_wavefunction(CatApproxParams(mu=mu_exact, beta=BETA), grid)
+    approx_p = approx_p_wavefunction(mu_exact, BETA, grid)
     value = overlap(exact_p, approx_p)
     assert value >= 0.95
     # frozen regression of the first computation
@@ -231,10 +231,9 @@ def test_overlap_exact_cat_with_approximation():
 
 @pytest.mark.parametrize("mu", [3.0, 5.0, 7.0, 10.0])
 def test_peak_fringe_duality(mu):
-    params = CatApproxParams(mu=mu, beta=BETA)
     grid = fig_grid(mu)
-    positions, _ = detect_peaks(approx_p_wavefunction(params, grid))
-    period, _ = fringe_metrics(approx_x_wavefunction(params, grid))
+    positions, _ = detect_peaks(approx_p_wavefunction(mu, BETA, grid))
+    period, _ = fringe_metrics(approx_x_wavefunction(mu, BETA, grid))
     separation = positions[1] - positions[0]
     assert period * separation == pytest.approx(4.0 * np.pi, rel=0.02)
 
@@ -243,8 +242,7 @@ def test_threshold_coincidence_ratio():
     # at mu = 1/beta the analytic separation/(2 width) ratio equals 2 and
     # the numeric detector must agree within 10%
     mu = 1.0 / BETA
-    params = CatApproxParams(mu=mu, beta=BETA)
-    wf = approx_p_wavefunction(params, fig_grid(mu))
+    wf = approx_p_wavefunction(mu, BETA, fig_grid(mu))
     positions, widths = detect_peaks(wf)
     assert len(positions) == 2
     ratio = (positions[1] - positions[0]) / (widths[0] + widths[1])
@@ -253,9 +251,8 @@ def test_threshold_coincidence_ratio():
 
 @pytest.mark.parametrize("mu", [2.0, 7.0, 15.0])
 def test_emitted_wavefunctions_are_normalized(mu):
-    params = CatApproxParams(mu=mu, beta=BETA)
     grid = fig_grid(mu)
-    for wf in (approx_p_wavefunction(params, grid), approx_x_wavefunction(params, grid)):
+    for wf in (approx_p_wavefunction(mu, BETA, grid), approx_x_wavefunction(mu, BETA, grid)):
         assert riemann_norm(wf) == pytest.approx(1.0, abs=1e-6)
 
 

@@ -26,33 +26,38 @@ from helpers import (
     traced_lines,
     traced_manifest,
 )
-from spincat import (
-    Basis,
-    CatApproxParams,
-    DegenerateStateError,
-    QuadratureGrid,
-    ResolutionError,
-    alpha_from_xi2,
+from spincat.cat import (
     analyze_cat,
-    apply_number_qnd,
     approx_p_wavefunction,
     approx_x_wavefunction,
     check_cat_conditions,
-    choose_truncation,
-    default_cat_grid,
-    grid_for_state,
+)
+from spincat.cli import FIELDS, TRAJECTORY_BLOCK, _check_coverage, build_parser, main
+from spincat.errors import DegenerateStateError, ResolutionError
+from spincat.io import _CHUNK_ROWS
+from spincat.protocol import (
+    alpha_from_xi2,
+    apply_number_qnd,
     mu_of_outcome,
     quadrature_variances,
-    riemann_normalize,
     sample_first_outcome,
     sample_second_outcome,
     squeezed_state_exact,
     squeezed_state_stirling,
+)
+from spincat.state import (
+    Basis,
+    HERMITE_N_BUDGET,
+    QuadratureGrid,
+    _expand,
+    choose_truncation,
+    default_cat_grid,
+    effective_max_index,
+    grid_for_state,
+    riemann_norm,
+    riemann_normalize,
     to_quadrature,
 )
-from spincat.cli import FIELDS, TRAJECTORY_BLOCK, _check_coverage, build_parser, main
-from spincat.io import _CHUNK_ROWS
-from spincat.state import HERMITE_N_BUDGET, _expand, effective_max_index, riemann_norm
 
 
 def run_cli(capsys, *argv):
@@ -208,12 +213,11 @@ def test_cat_files_match_reference_writers(tmp_path, capsys):
     n_max = json.loads(Path(files["trace"]).read_text())["n_max"]
     cat = apply_number_qnd(squeezed_state_exact(20.0, n_max), beta, metrics["p_R"])
     grid = default_cat_grid(metrics["mu_exact"], beta, effective_max_index(cat))
-    params = CatApproxParams(mu=metrics["mu_exact"], beta=beta)
     expected = {
         "cat_p": riemann_normalize(to_quadrature(cat, grid, Basis.P)),
         "cat_x": riemann_normalize(to_quadrature(cat, grid, Basis.X)),
-        "cat_approx_p": approx_p_wavefunction(params, grid),
-        "cat_approx_x": approx_x_wavefunction(params, grid),
+        "cat_approx_p": approx_p_wavefunction(metrics["mu_exact"], beta, grid),
+        "cat_approx_x": approx_x_wavefunction(metrics["mu_exact"], beta, grid),
     }
     assert Path(files["cat_state"]).read_text() == reference_number_state_csv(cat)
     for name, wf in expected.items():
@@ -353,7 +357,7 @@ def test_cat_of_tiny_mu_leaves_out_the_approximate_x_file(tmp_path, capsys):
     cat = apply_number_qnd(squeezed_state_exact(20.0, n_max), beta, metrics["p_R"])
     grid = default_cat_grid(metrics["mu_exact"], beta, effective_max_index(cat))
     with pytest.raises(DegenerateStateError):
-        approx_x_wavefunction(CatApproxParams(mu=metrics["mu_exact"], beta=beta), grid)
+        approx_x_wavefunction(metrics["mu_exact"], beta, grid)
 
 
 @pytest.mark.parametrize("xi2, beta, p_R", [
@@ -532,8 +536,6 @@ def test_trajectories_at_chunk_edges_match_scalar_records(tmp_path):
 def test_trajectories_resolvable_fraction_matches_mixture_mass(tmp_path, capsys):
     from scipy.stats import norm as normal_dist
 
-    from spincat import squeezed_state_exact
-
     beta = 1.0 / 3.0
     code, out, _ = run_cli(capsys, "trajectories", "--xi2", "20",
                            "--beta", repr(beta), "--count", "20000",
@@ -646,16 +648,48 @@ def test_feasibility_aggregates_config_errors(tmp_path, capsys):
     assert err.count("config error") == 1
 
 
-def test_feasibility_negative_delta_is_a_config_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "feasibility", "--kappa0", "1e4",
-                             "--gamma", "1", "--delta", "-100",
-                             "--n-atoms", "400000", "--n-photons", "32000",
+FEASIBLE = {"kappa0": "1e4", "gamma": "1", "delta": "100", "n_atoms": "400000",
+            "n_photons": "32000"}
+
+
+def feasibility_flags(**values) -> list[str]:
+    """The flags of a feasible free-space scenario, with `values` set."""
+    return [text for name, value in {**FEASIBLE, **values}.items()
+            for text in ("--" + name.replace("_", "-"), value)]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("kappa0", "0"), ("kappa0", "-1"), ("gamma", "0"), ("delta", "9.999999999999998"),
+    ("delta", "-100"), ("n_atoms", "0"), ("n_photons", "0"), ("transmission", "0"),
+    ("transmission", "1.0000000000000002"), ("polarization", "0"), ("polarization", "1"),
+    ("tau_c", "0"),
+], ids=["kappa0-0", "kappa0-negative", "gamma-0", "delta-below-10-gamma", "delta-negative",
+        "n_atoms-0", "n_photons-0", "transmission-0", "transmission-above-1",
+        "polarization-0", "polarization-1", "tau_c-0"])
+def test_feasibility_value_past_a_bound_is_a_config_error(tmp_path, capsys, name, value):
+    """A value just past a bound of one of the eight fields exits 2 with
+    one config error line that names the field, and writes nothing."""
+    code, out, err = run_cli(capsys, "feasibility", *feasibility_flags(**{name: value}),
                              "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert out == ""
-    assert err.startswith("config error: delta must satisfy")
-    assert "delta >= 10*gamma" in err
+    assert err.startswith(f"config error: {name} must ") and err.count("\n") == 1
+    if name == "delta":
+        assert "the far-detuned bound delta >= 10*gamma" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("values", [{"n_atoms": "1"}, {"transmission": "1"},
+                                    {"delta": "10", "gamma": "1"}],
+                         ids=["n_atoms-1", "transmission-1", "delta-10-gamma"])
+def test_feasibility_inclusive_bounds_are_feasible(tmp_path, capsys, values):
+    code, out, _ = run_cli(capsys, "feasibility", *feasibility_flags(**values),
+                           "--out-dir", str(tmp_path))
+    """The inclusive edges n_atoms = 1, transmission = 1 and delta =
+    10*gamma are inside the bounds."""
+    assert code == 0
+    inputs = stdout_json(out)["report"]["inputs"]
+    assert all(inputs[name] == float(value) for name, value in values.items())
 
 
 @pytest.mark.parametrize("flags, prefix", [

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincat import (
-    DomainError,
-    ExperimentalParams,
-    FeasibilityReport,
-    PRESETS,
-    evaluate_scenario,
-)
+from spincat.errors import DomainError
+from spincat.feasibility import ExperimentalParams, FeasibilityReport, PRESETS, evaluate_scenario
 
 positive = st.floats(1e-6, 1e8)
 
@@ -46,14 +41,6 @@ def test_detuned_optics_quadratic_scaling():
 def test_detuned_optics_identity(kappa0, gamma, ratio):
     report = scenario(kappa0, ratio * gamma, 1000, 1e6, gamma=gamma)
     assert report.theta_detuned ** 2 / report.kappa_detuned == pytest.approx(kappa0, rel=1e-12)
-
-
-def test_detuned_optics_regime_violation():
-    with pytest.raises(DomainError, match="far-detuned"):
-        ExperimentalParams(kappa0=1e4, gamma=1.0, delta=5.0, n_atoms=10, n_photons=10.0)
-    # a negative detuning breaks the same bound, which names delta
-    with pytest.raises(DomainError, match=r"delta must satisfy .* delta >= 10\*gamma"):
-        ExperimentalParams(kappa0=1e4, gamma=1.0, delta=-100.0, n_atoms=10, n_photons=10.0)
 
 
 def test_coupling_chain_reference():
@@ -316,16 +303,3 @@ def test_combined_condition_implied_by_depth_derivation():
                 if xi2 >= np.cbrt(n_atoms):
                     assert beta * xi2 >= 2.0 * np.sqrt(2.0) * (1.0 - 1e-9)
                     assert beta * xi2 > 1.0
-
-
-# ---------------------------------------------------------------------------
-# parameter types
-
-
-def test_experimental_params_validation():
-    with pytest.raises(DomainError):
-        ExperimentalParams(kappa0=-1.0, gamma=1.0, delta=100.0,
-                           n_atoms=10, n_photons=10.0)
-    with pytest.raises(DomainError):
-        ExperimentalParams(kappa0=1.0, gamma=1.0, delta=5.0,
-                           n_atoms=10, n_photons=10.0)

@@ -1,7 +1,8 @@
 """Every byte the manifest's commands write, print and return, against the
 committed `tests/golden/manifest.json` (see `tests/golden/regenerate.py`),
-and every refusal of the package, reached by one of those commands or by
-a refused `spincat.cli.main` call."""
+every refusal of the package, reached by one of those commands or by a
+refused `spincat.cli.main` call, and the `--keep`/`--compare` tooling of
+`regenerate.py`."""
 
 import inspect
 import json
@@ -49,7 +50,7 @@ def make_refused_calls(tmp_path, monkeypatch, capsys):
     each shown a fault that a monkeypatch puts in, and an output name that
     is an existing directory."""
     with monkeypatch.context() as patched:  # a cat approximation that is not even
-        patched.setattr("spincat.cat.approx_p_wavefunction", lambda params, grid:
+        patched.setattr("spincat.cat.approx_p_wavefunction", lambda mu, beta, grid:
                         QuadratureWavefunction(grid, np.arange(grid.count, dtype=float),
                                                Basis.P))
         assert main(["cat", "--xi2", "20", "--beta", "0.3333333333333333",
@@ -87,3 +88,67 @@ def test_readme_lists_the_entry_points_of_the_refused_calls():
     source = inspect.getsource(make_refused_calls)
     for name in CHECKING_ENTRY_POINTS:
         assert name.rsplit(".", 1)[-1] + "(" in source, name
+
+
+def kept_entry(root, name, code=0, stdout="", stderr="", files=()):
+    """A directory as `regenerate.keep` writes it for one entry; `files`
+    maps each output file name to its text."""
+    entry = root / name
+    (entry / "files").mkdir(parents=True)
+    (entry / "exit").write_text(f"{code}\n")
+    (entry / "stdout").write_text(stdout)
+    (entry / "stderr").write_text(stderr)
+    for file, text in dict(files).items():
+        (entry / "files" / file).write_text(text)
+
+
+def test_compare_reports_each_kind_of_difference(tmp_path, capsys):
+    regenerate = load_regenerate()
+    old, new = tmp_path / "old", tmp_path / "new"
+    wave = "coord,re,im,abs2\n-1,0.5,0,0.25\n0,1,0,1\n1,0.5,0,0.25\n"
+    for root, changed in ((old, False), (new, True)):
+        kept_entry(root, "same", stdout='{"a": 1}\n', files={"cat_p.csv": wave})
+        kept_entry(root, "code", code=3 if changed else 0)
+        kept_entry(root, "wave", files={"cat_p.csv": wave.replace("0.5,0,0.25", "0.25,0,0.0625")
+                                        if changed else wave})
+        kept_entry(root, "grid", files={"cat_x.csv": wave + "2,0,0,0\n3,0,0,0\n"
+                                        if changed else wave})
+        doc = {"a": 1, "b": {"c": 2, "d": 4}, "e": 5} if changed else {"a": 1, "b": {"c": 2, "d": 3}}
+        kept_entry(root, "doc", files={"report.json": json.dumps(doc)})
+        kept_entry(root, "lines", stderr="config error: x\n" if changed else "config error: y\n")
+        kept_entry(root, "new" if changed else "gone")
+    (new / "same" / "files" / "extra.csv").write_text(wave)
+    expected = [
+        "code: exit 0 -> 3",
+        "doc: files/report.json: keys differ: b.d, e",
+        "gone: missing",
+        "grid: files/cat_x.csv: grid changed: 3 -> 5 points",
+        "lines: stderr: 1 of 1 lines differ",
+        "new: added",
+        "same: files/extra.csv: added",
+        "wave: files/cat_p.csv: max |delta| 0.25 of the peak 1, in 2 of 3 rows, coord -1 to 1",
+    ]
+    assert regenerate.compare(str(old), str(new)) == expected
+    assert regenerate.main(["--compare", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == expected
+    assert regenerate.main(["--compare", str(old), str(old)]) == 0
+    assert capsys.readouterr().out == "no entry differs\n"
+
+
+def test_keep_writes_what_compare_reads(tmp_path):
+    """Two runs of the same commands keep outputs that compare equal, with
+    the output directory written as "<out>"."""
+    regenerate = load_regenerate()
+    entries = {"report": ["feasibility", "--preset", "bec-cavity"],
+               "refused/kappa0": ["feasibility", "--kappa0", "0"]}
+    for run in ("a", "b"):
+        regenerate.keep(entries, str(tmp_path / run))
+    assert regenerate.compare(str(tmp_path / "a"), str(tmp_path / "b")) == []
+    report = tmp_path / "a" / "report"
+    assert (report / "exit").read_text() == "0\n"
+    assert json.loads((report / "stdout").read_text())["files"] == {
+        "report": "<out>/feasibility_report.json"}
+    assert (report / "files" / "feasibility_report.json").exists()
+    assert (tmp_path / "a" / "refused" / "kappa0" / "exit").read_text() == "2\n"
+    with pytest.raises(FileExistsError):
+        regenerate.keep(entries, str(tmp_path / "a"))

@@ -14,22 +14,13 @@ from helpers import (
     longdouble_quadrature_variances,
     riemann_quadrature_variances,
 )
-from spincat import (
-    Basis,
-    CatApproxParams,
-    DomainError,
-    ImprobableOutcomeError,
-    NumberState,
-    RandomSource,
-    QuadratureGrid,
+from spincat import protocol
+from spincat.cat import analyze_cat, approx_p_wavefunction, approx_x_wavefunction
+from spincat.cli import EXIT_CONFIG, main
+from spincat.errors import DomainError, ImprobableOutcomeError
+from spincat.protocol import (
     alpha_from_xi2,
-    analyze_cat,
     apply_number_qnd,
-    approx_p_wavefunction,
-    approx_x_wavefunction,
-    choose_truncation,
-    default_cat_grid,
-    mean_occupation,
     mu_of_outcome,
     outcome_density_second,
     quadrature_variances,
@@ -38,9 +29,18 @@ from spincat import (
     squeezed_state_exact,
     squeezed_state_stirling,
 )
-from spincat import protocol
-from spincat.cli import EXIT_CONFIG, main
-from spincat.state import TAIL_TOL, _TRUNCATION_CAP, effective_max_index
+from spincat.state import (
+    Basis,
+    NumberState,
+    QuadratureGrid,
+    RandomSource,
+    TAIL_TOL,
+    _TRUNCATION_CAP,
+    choose_truncation,
+    default_cat_grid,
+    effective_max_index,
+    mean_occupation,
+)
 
 BETA_FIG = 1.0 / 3.0
 
@@ -340,8 +340,7 @@ def test_parity_premise_of_the_mirrored_expansion(xi2, beta, p_r, odd):
     assume(mu > 0.0)
     grid = default_cat_grid(mu, beta, effective_max_index(states[0]))
     grid = QuadratureGrid(grid.half_width, grid.count + odd)
-    params = CatApproxParams(mu=mu, beta=beta)
-    for wf in (approx_p_wavefunction(params, grid), approx_x_wavefunction(params, grid)):
+    for wf in (approx_p_wavefunction(mu, beta, grid), approx_x_wavefunction(mu, beta, grid)):
         assert wf.values.tobytes() == wf.values[::-1].tobytes()
 
 

@@ -21,19 +21,16 @@ from helpers import (
     normalized,
     reference_expansions,
 )
-from spincat import (
+from spincat.cat import analyze_cat, compute_cat_metrics
+from spincat.protocol import quadrature_variances, squeezed_state_exact, squeezed_state_stirling
+from spincat.state import (
     Basis,
     NumberState,
     QuadratureWavefunction,
-    analyze_cat,
+    _expand,
     choose_truncation,
-    compute_cat_metrics,
     grid_for_state,
-    quadrature_variances,
-    squeezed_state_exact,
-    squeezed_state_stirling,
 )
-from spincat.state import _expand
 
 TOL_VALUES = 1e-15      # of the peak |value|
 TOL_AMPLITUDES = 1e-15  # relative, per amplitude

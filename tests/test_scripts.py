@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spincat import default_cat_grid
 from spincat.cli import main
+from spincat.state import default_cat_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"

@@ -16,35 +16,32 @@ from helpers import (
     reference_expansions,
     squeezed_tail_mass,
 )
-from spincat import (
+from spincat.cat import approx_p_wavefunction, approx_x_wavefunction
+from spincat.errors import CapacityError, DomainError
+from spincat.io import format_coords, write_number_state_csv, write_wavefunction_csv
+from spincat.protocol import (
+    apply_number_qnd,
+    sample_second_outcome,
+    squeezed_state_exact,
+    squeezed_state_stirling,
+)
+from spincat.state import (
     Basis,
-    CatApproxParams,
-    DomainError,
-    CapacityError,
     NumberState,
     QuadratureGrid,
+    QuadratureWavefunction,
     RandomSource,
-    apply_number_qnd,
-    approx_p_wavefunction,
-    approx_x_wavefunction,
+    _expand,
+    _hermite_rows,
     choose_truncation,
+    default_cat_grid,
+    effective_max_index,
     grid_for_state,
     mean_occupation,
     quadrature_moment,
     riemann_norm,
     riemann_normalize,
-    sample_second_outcome,
-    squeezed_state_exact,
-    squeezed_state_stirling,
     to_quadrature,
-)
-from spincat.io import format_coords, write_number_state_csv, write_wavefunction_csv
-from spincat import default_cat_grid
-from spincat.state import (
-    QuadratureWavefunction,
-    _expand,
-    _hermite_rows,
-    effective_max_index,
 )
 
 
@@ -147,8 +144,6 @@ def test_squeezed_p_representation_against_quadrature_oracle():
 
 def even_states():
     """Even-parity states: squeezed and cat."""
-    from spincat import apply_number_qnd
-
     squeezed = squeezed_state_exact(20.0, choose_truncation(20.0, 1.0, 0.0))
     return squeezed, apply_number_qnd(squeezed, 1.0 / 3.0, 7.0 / 3.0)
 
@@ -183,9 +178,9 @@ def test_states_and_wavefunctions_are_real():
         assert amps.dtype == np.float64 and amps.ndim == 1 and amps.size == state.n_max + 1
         assert not amps[1::2].any()
     grid = grid_for_state(squeezed)
-    params = CatApproxParams(mu=7.0, beta=1.0 / 3.0)
     for wf in (*_expand([(state, basis) for state in states for basis in Basis], grid),
-               approx_p_wavefunction(params, grid), approx_x_wavefunction(params, grid)):
+               approx_p_wavefunction(7.0, 1.0 / 3.0, grid),
+               approx_x_wavefunction(7.0, 1.0 / 3.0, grid)):
         assert wf.values.dtype == np.float64 and wf.values.shape == (grid.count,)
         assert type(wf.basis) is Basis
 
@@ -294,7 +289,7 @@ def test_basis_consistency_even_states():
 @given(data=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=32))
 @settings(max_examples=20, deadline=None)
 def test_oscillator_identity(data):
-    from spincat import quadrature_variances
+    from spincat.protocol import quadrature_variances
 
     amps = np.zeros(2 * len(data) - 1)
     amps[::2] = data  # even-parity state
@@ -368,15 +363,18 @@ def test_grid_points_are_antisymmetric():
 @settings(max_examples=200, deadline=None)
 def test_grid_points_are_bitwise_antisymmetric(half_width, count):
     """At normal and subnormal spacings alike: the points mirror bit for
-    bit off the middle, the middle of an odd count is +0.0, and the
-    mirrored coordinate text is that of formatting every point."""
+    bit off the middle, the middle of an odd count is +0.0, format_coords
+    is the text of the upper half, and that text mirrored behind a "-" is
+    the text of the lower half."""
     grid = QuadratureGrid(half_width, count)
     pts = grid.points()
     half = count // 2
     assert (-pts[:half]).tobytes() == pts[::-1][:half].tobytes()
     if count % 2:
         assert pts[half] == 0.0 and not np.signbit(pts[half])
-    assert format_coords(grid) == ["%.17g" % x for x in pts]
+    upper = format_coords(grid)
+    assert upper == ["%.17g" % x for x in pts[half:]]
+    assert ["-" + text for text in upper[::-1][:half]] == ["%.17g" % x for x in pts[:half]]
 
 
 def test_grid_validation():
