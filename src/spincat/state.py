@@ -11,7 +11,8 @@ Conventions used throughout:
 * momentum-basis matrix elements are real,
   phi_n(p) = pi**(-1/4) * (2**n n!)**(-1/2) * H_n(p) * exp(-p**2/2),
   evaluated with the normalized three-term recurrence (never via raw
-  Hermite polynomials divided by factorials);
+  Hermite polynomials divided by factorials), which carries a binary
+  exponent per point where exp(-p**2/2) is not a normal double;
 * the x representation is *defined* as the continuous Fourier transform
   of the p representation with kernel exp(i*x*p)/sqrt(2*pi), so applying
   the transform twice reflects a wavefunction through the origin;
@@ -38,14 +39,8 @@ import numpy as np
 from .errors import (
     CapacityError,
     DegenerateStateError,
-    DomainError,
     ResolutionError,
 )
-
-# Largest index the eigenfunction recurrence accepts.  Integral phi_n**2 = 1
-# to 1e-9 holds only for n <= 700; above, mass is lost (2 % at n = 750, 16 %
-# at n = 800) because the phi_0 seed underflows to 0 past |u| ~ 38.6.
-HERMITE_N_BUDGET = 2000
 
 _TRUNCATION_CAP = 4096
 
@@ -118,34 +113,6 @@ class RandomSource:
 
 
 # ---------------------------------------------------------------------------
-# oscillator eigenfunctions
-
-
-def _hermite_rows(n_max: int, u: np.ndarray):
-    """Yield phi_0(u), phi_1(u), ..., phi_{n_max}(u), the normalized
-    oscillator eigenfunctions at the points `u`, from the recurrence
-        phi_{n+1} = u*sqrt(2/(n+1))*phi_n - sqrt(n/(n+1))*phi_{n-1}
-    with the Gaussian weight folded into phi_0.  Only two rows live at a
-    time.  The rows are normalized (integral phi_n**2 = 1 to 1e-9) for
-    n <= 700; above that they lose mass where phi_0 underflows (see
-    HERMITE_N_BUDGET).  Indices past HERMITE_N_BUDGET are refused."""
-    if n_max > HERMITE_N_BUDGET:
-        raise DomainError(
-            f"eigenfunction index {n_max} exceeds the recurrence stability budget "
-            f"{HERMITE_N_BUDGET}"
-        )
-    prev = np.pi ** -0.25 * np.exp(-u * u / 2.0)
-    yield prev
-    if n_max == 0:
-        return
-    cur = np.sqrt(2.0) * u * prev
-    yield cur
-    for n in range(2, n_max + 1):
-        prev, cur = cur, u * np.sqrt(2.0 / n) * cur - np.sqrt((n - 1) / n) * prev
-        yield cur
-
-
-# ---------------------------------------------------------------------------
 # norms
 
 
@@ -163,15 +130,13 @@ def riemann_normalize(wf: QuadratureWavefunction) -> QuadratureWavefunction:
 
 
 # Relative tolerance of the coverage check of both squeeze and cat.  On
-# default squeeze grids the worst residual, 6.3e-4, is at xi2 = 173.5, the
-# last xi2 within HERMITE_N_BUDGET, where the eigenfunction rows lose mass
-# past n = 700; for xi2 <= 60 it is below 5e-13.  On default cat grids the
-# norm misses by at most 8.6e-7 over 400 cats with xi2 in [5, 210], beta in
-# [1.5/xi2, 1] and mu in [1e-3, xi2], and by more than 1e-12 only where
-# mu < 1/beta or where the same rows lose mass (1.9e-6 at xi2 = 204,
-# beta = 0.0057, mu = 199).  A grid that cuts off the state misses by far
-# more: a margin of 8 instead of 5 peak sigmas holds 98.9 % of the p norm
-# at xi2 = 200, beta = 0.01, mu = 100.
+# default squeeze grids every residual is at most 1e-11 for xi2 up to 215
+# (tests/test_cli.py::test_default_squeeze_grids_pass_the_coverage_check).
+# On default cat grids the norm misses by at most 8.6e-7 over 400 cats with
+# xi2 in [5, 210], beta in [1.5/xi2, 1] and mu in [1e-3, xi2], and by more
+# than 1e-12 only where mu < 1/beta.  A grid that cuts off the state misses
+# by far more: a margin of 8 instead of 5 peak sigmas holds 98.9 % of the p
+# norm at xi2 = 200, beta = 0.01, mu = 100.
 COVERAGE_TOL = 1e-3
 
 
@@ -276,7 +241,16 @@ def to_quadrature(state: NumberState, grid: QuadratureGrid, basis: Basis) -> Qua
 
 def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
     """`to_quadrature` of every (state, basis) pair in `pairs` on one grid,
-    from a single pass of the recurrence.
+    from a single pass, two rows at a time, of the normalized recurrence
+        phi_{n+1} = u*sqrt(2/(n+1))*phi_n - sqrt(n/(n+1))*phi_{n-1}
+    from phi_0 = pi**(-1/4) * exp(-u**2/2).  Where exp(-u**2/2) is not a
+    normal double (|u| > 37.64), the rows hold phi_n * 2**scale, one integer
+    scale per point: the seed is m**12 for m * 2**e = exp(-u**2/24), normal
+    on every grid under the truncation cap (|u| < 98.5), at scale -12 e,
+    and every 32 rows, too few to grow by 2**512, a point whose row has
+    passed 2**512 scales its rows and sums by 2**-512.  Elsewhere the
+    arithmetic is the plain recurrence's.  The rows keep integral
+    phi_n**2 = 1 to 1e-10 for every n up to the cap.
 
     Every state is even (exactly zero at odd n, as every state the
     protocol builds is), so the recurrence runs on the upper half of the
@@ -288,6 +262,7 @@ def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
     the values are bitwise those of separate passes.
     """
     half = grid.count // 2
+    u = grid.points()[half:]
     sums = []
     for state, basis in pairs:
         basis = Basis(basis)
@@ -295,12 +270,26 @@ def _expand(pairs, grid: QuadratureGrid) -> list[QuadratureWavefunction]:
         if basis is Basis.X:  # i**n = (-1)**(n/2) on even n
             coeffs = coeffs.copy()
             coeffs[2::4] *= -1.0
-        sums.append((basis, coeffs, np.zeros(grid.count - half)))
+        sums.append((basis, coeffs, np.zeros(u.size)))
     n_top = max(coeffs.size for _, coeffs, _ in sums) - 1
-    for n, row in enumerate(_hermite_rows(n_top, grid.points()[half:])):
+    seed = np.exp(-u * u / 2.0)
+    far = np.flatnonzero(seed < np.finfo(float).tiny)
+    mantissa, exponent = np.frexp(np.exp(-u[far] ** 2 / 24.0))
+    seed[far], scale = mantissa ** 12, -12 * exponent
+    prev, row = np.zeros(u.size), np.pi ** -0.25 * seed
+    for n in range(n_top + 1):
+        if n:
+            prev, row = row, u * np.sqrt(2.0 / n) * row - np.sqrt((n - 1) / n) * prev
         for _, coeffs, values in sums:
             if n < coeffs.size and coeffs[n] != 0.0:
                 values += coeffs[n] * row
+        if n % 32 == 31 and far.size:
+            big = np.abs(row[far]) > 2.0 ** 512
+            for rows in (prev, row, *(values for _, _, values in sums)):
+                rows[far[big]] *= 2.0 ** -512
+            scale[big] -= 512
+    for _, _, values in sums:
+        values[far] = np.ldexp(values[far], -scale)
     return [QuadratureWavefunction(grid, np.concatenate((values[::-1][:half], values)),
                                    basis) for basis, _, values in sums]
 

@@ -27,7 +27,8 @@ and exits 1 if there is any:
 
 * a changed exit code, with both codes;
 * for a CSV on the same grid, the largest |delta| of its values relative
-  to the file's peak, and the coordinate range of the rows that differ;
+  to the file's peak, the coordinate range of the rows that differ and
+  the smallest |coord| among them;
 * for a CSV whose grid changed, both point counts;
 * for JSON (stdout, stderr, `*.json`), the keys whose values differ;
 * for other text, how many lines differ.
@@ -65,11 +66,14 @@ BENCH_SEEDS = range(1, 6)
 # and the seeding edges of the outcome streams: sampled cats at the largest
 # and the smallest 64-bit seed, a trajectory run whose second block holds
 # one record, and one at seed 0; a cat of mu_exact 2.2e-4, whose approximate
-# x wavefunction underflows to no norm and is not written; and the
-# refusals flags reach: an occupancy past HERMITE_N_BUDGET, a truncation
-# past its cap, a tail ratio that rounds to 1, a beta whose square
-# underflows, an out_dir under a device file, and outcomes too narrow in
-# doubles for the histogram's bins.
+# x wavefunction underflows to no norm and is not written; a squeeze at
+# xi2 = 200; the refusals flags reach: a truncation past its cap, a tail
+# ratio that rounds to 1, a beta whose square underflows, an out_dir under
+# a device file, and outcomes too narrow in doubles for the histogram's
+# bins; and grids far past |u| = 37.64, where exp(-u**2/2) is not a normal
+# double: a squeeze at xi2 = 215, a mu = 199 cat on a grid to +-62, a cat
+# whose p peaks lie at +-41 and one whose grid of 65,536 points reaches
+# +-97.4, near the truncation cap's reach.
 EDGE_COMMANDS = [
     "cat --xi2 45.933626852860776 --beta 0.03197871375401286 --pr-over-beta 24.844678751740197",
     "cat --xi2 20 --beta 0.3333 --pr-over-beta 7 --grid-half-width 2 --grid-count 256",
@@ -104,6 +108,10 @@ EDGE_COMMANDS = [
     "cat --xi2 20 --beta 1e-300 --pr 0",
     "squeeze --xi2 2 --out-dir /dev/null/spincat",
     "trajectories --xi2 20 --beta 18446744073709551616 --count 1",
+    "squeeze --xi2 215",
+    "cat --xi2 204.28617172296612 --beta 0.005706051814641667 --pr 1.9929594320419217",
+    "cat --xi2 2 --beta 0.1 --pr 90",
+    "cat --xi2 150 --beta 3 --pr 12000",
 ]
 
 
@@ -254,9 +262,10 @@ def _csv_difference(old: str, new: str) -> str:
             delta = abs(float(x) - float(y)) if x != y else 0.0
             largest = max(largest, delta if delta == delta else math.inf)
     relative = largest / peak if peak else math.inf
+    nearest = min(abs(float(rows_old[i][0])) for i in changed)
     return (f"max |delta| {relative:.3g} of the peak {peak:.3g}, in {len(changed)} of "
             f"{len(rows_old)} rows, coord {rows_old[changed[0]][0]} to "
-            f"{rows_old[changed[-1]][0]}")
+            f"{rows_old[changed[-1]][0]}, |coord| >= {nearest:.4g}")
 
 
 def _file_difference(old: Path, new: Path) -> str | None:

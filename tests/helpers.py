@@ -20,7 +20,6 @@ from spincat.state import (
     Basis,
     NumberState,
     QuadratureGrid,
-    _hermite_rows,
     _symmetric_grid,
     _turning_point,
     effective_max_index,
@@ -113,9 +112,27 @@ def chi_square_vs_mixture(draws: np.ndarray, state_amplitudes: np.ndarray,
 # constructions that the library's one recurrence sum replaces
 
 
+def hermite_rows(n_max: int, u: np.ndarray):
+    """Yield phi_0(u), ..., phi_{n_max}(u) from the plain double recurrence
+        phi_{n+1} = u*sqrt(2/(n+1))*phi_n - sqrt(n/(n+1))*phi_{n-1},
+    phi_0 = pi**(-1/4) * exp(-u**2/2): the bits of `_expand`'s rows wherever
+    that seed is a normal double.  Past |u| = 37.64 it is subnormal, and 0
+    past 38.6, so the rows there lose what `_expand`'s per-point exponent
+    keeps."""
+    prev = np.pi ** -0.25 * np.exp(-u * u / 2.0)
+    yield prev
+    if n_max == 0:
+        return
+    cur = np.sqrt(2.0) * u * prev
+    yield cur
+    for n in range(2, n_max + 1):
+        prev, cur = cur, u * np.sqrt(2.0 / n) * cur - np.sqrt((n - 1) / n) * prev
+        yield cur
+
+
 def hermite_basis(n_max: int, u: np.ndarray) -> np.ndarray:
     """Matrix phi[n, k] = phi_n(u_k) for n = 0 .. n_max."""
-    return np.stack(list(_hermite_rows(n_max, np.asarray(u, dtype=float))))
+    return np.stack(list(hermite_rows(n_max, np.asarray(u, dtype=float))))
 
 
 def fourier_pair(values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
@@ -169,25 +186,38 @@ def longdouble_quadrature_variances(state) -> tuple[float, float]:
     return mean_n + 0.5 - re_a2, mean_n + 0.5 + re_a2
 
 
-def longdouble_norm_misses(state, grid) -> tuple[float, float]:
-    """Riemann norm**2 on `grid` of an even state's p and x wavefunctions,
-    relative to its number-basis norm**2, less 1.  Every amplitude (no
-    n_eff cut) multiplies the normalized recurrence run in np.longdouble,
-    whose phi_0 seed stays normal far past |u| = 37.6, where the double
-    seed underflows."""
-    u = grid.points().astype(np.longdouble)
-    a = state.amplitudes.astype(np.longdouble)
-    p, x = np.zeros_like(u), np.zeros_like(u)
+def x_coefficients(amplitudes: np.ndarray) -> np.ndarray:
+    """The x-basis coefficients a_n i**n = a_n (-1)**(n/2) of an even state."""
+    coeffs = amplitudes.copy()
+    coeffs[2::4] *= -1.0
+    return coeffs
+
+
+def longdouble_sums(columns, u) -> list[np.ndarray]:
+    """sum_n c[n] phi_n(u) for each coefficient array c of `columns`, from
+    the normalized recurrence run in np.longdouble, whose phi_0 seed stays
+    normal far past |u| = 37.64, where the double seed underflows."""
+    u = np.asarray(u, dtype=np.longdouble)
+    sums = [np.zeros_like(u) for _ in columns]
     before, row = np.zeros_like(u), np.pi ** -0.25 * np.exp(-u * u / 2)
-    for n in range(a.size):
+    for n in range(max(c.size for c in columns)):
         if n:
             before, row = row, (u * np.sqrt(np.longdouble(2) / n) * row
                                 - np.sqrt(np.longdouble(n - 1) / n) * before)
-        p += a[n] * row
-        x += (-a[n] if n % 4 == 2 else a[n]) * row
+        for c, total in zip(columns, sums):
+            if n < c.size and c[n] != 0.0:
+                total += np.longdouble(c[n]) * row
+    return sums
+
+
+def longdouble_norm_misses(state, grid) -> tuple[float, float]:
+    """Riemann norm**2 on `grid` of an even state's p and x wavefunctions,
+    relative to its number-basis norm**2, less 1, with every amplitude (no
+    n_eff cut) in `longdouble_sums`."""
+    a = state.amplitudes.astype(np.longdouble)
     norm2 = np.sum(a * a)
     return tuple(float(np.sum(v * v) * np.longdouble(grid.spacing) / norm2 - 1)
-                 for v in (p, x))
+                 for v in longdouble_sums([a, x_coefficients(a)], grid.points()))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +299,7 @@ def reference_expansions(pairs, grid) -> list[np.ndarray]:
             coeffs = coeffs * np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(n_eff + 1) % 4]
         sums.append((coeffs, np.zeros(grid.count, dtype=complex)))
     n_top = max(coeffs.size for coeffs, _ in sums) - 1
-    for n, row in enumerate(_hermite_rows(n_top, grid.points())):
+    for n, row in enumerate(hermite_rows(n_top, grid.points())):
         for coeffs, values in sums:
             if n < coeffs.size and coeffs[n] != 0.0:
                 values += coeffs[n] * row

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 import spincat
 from helpers import (
     longdouble_norm_misses,
+    normalized,
     raise_statements,
     read_number_state_csv,
+    read_wavefunction_csv,
     reference_number_state_csv,
     reference_wavefunction_csv,
     squeezed_tail_mass,
@@ -47,13 +49,13 @@ from spincat.protocol import (
 )
 from spincat.state import (
     Basis,
-    HERMITE_N_BUDGET,
     QuadratureGrid,
     _expand,
     choose_truncation,
     default_cat_grid,
     effective_max_index,
     grid_for_state,
+    quadrature_moment,
     riemann_norm,
     riemann_normalize,
     to_quadrature,
@@ -143,13 +145,19 @@ def test_squeeze_grid_that_misses_the_state_writes_no_file(tmp_path, capsys, mon
     assert list(tmp_path.iterdir()) == []
 
 
-# 173.5 is the last xi2 whose occupancy stays within HERMITE_N_BUDGET.
-@pytest.mark.parametrize("xi2", [1.0, 1.5, 2.0, 5.0, 20.0, 60.0, 100.0, 140.0, 173.5])
+@pytest.mark.parametrize("xi2", [1.0, 1.5, 2.0, 5.0, 20.0, 60.0, 100.0, 140.0, 173.5,
+                                 200.0, 215.0])
 def test_default_squeeze_grids_pass_the_coverage_check(xi2):
+    """The default squeeze grid passes `_check_coverage`, and each residual
+    it checks, the norm**2 and the second moment of p and of x, is at most
+    1e-11."""
     state = squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0))
-    assert effective_max_index(state) <= HERMITE_N_BUDGET
     wavefunctions = _expand([(state, Basis.P), (state, Basis.X)], grid_for_state(state))
-    _check_coverage(wavefunctions, *quadrature_variances(state))
+    dx2, dp2 = quadrature_variances(state)
+    _check_coverage(wavefunctions, dx2, dp2)
+    for wf, moment in zip(wavefunctions, (dp2, dx2)):
+        assert abs(riemann_norm(wf) ** 2 - 1.0) <= 1e-11
+        assert abs(quadrature_moment(wf) / moment - 1.0) <= 1e-11
 
 
 @pytest.mark.parametrize("argv, report", [
@@ -170,6 +178,26 @@ def test_commands_truncate_below_the_tail_tolerance(tmp_path, capsys, argv, repo
     else:
         n_max = result["summary"]["n_max"]
     assert squeezed_tail_mass(float(argv[2]), n_max) < 1e-10
+
+
+@pytest.mark.parametrize("xi2", [100.0, 150.0, 215.0])
+def test_squeeze_csvs_match_the_closed_form_squeezed_vacuum(tmp_path, capsys, xi2):
+    """The emitted exact p and x wavefunctions against the closed-form
+    squeezed vacuum pi**(-1/4) (1+r)**(-1/2) exp(-u**2 (1-r) / (2 (1+r)))
+    with r = (xi2-1)/(xi2+1) in p and -r in x, which runs no recurrence:
+    both normalized on the CSV's grid, they agree at every point to 2e-5 of
+    the peak, what the truncation at a tail mass of 1e-10 leaves."""
+    code, out, err = run_cli(capsys, "squeeze", "--xi2", repr(xi2), "--out-dir", str(tmp_path))
+    assert code == 0, err
+    files = stdout_json(out)["files"]
+    r = (xi2 - 1.0) / (xi2 + 1.0)
+    for basis, ratio in (("p", r), ("x", -r)):
+        coords, values = read_wavefunction_csv(files[f"squeeze_exact_{basis}"])
+        spacing = coords[1] - coords[0]
+        closed = (np.pi ** -0.25 / np.sqrt(1.0 + ratio)
+                  * np.exp(-coords ** 2 * (1.0 - ratio) / (2.0 * (1.0 + ratio))))
+        emitted, closed = normalized(values.real, spacing), normalized(closed, spacing)
+        assert np.abs(emitted - closed).max() <= 2e-5 * closed.max(), basis
 
 
 def test_coverage_check_compares_each_second_moment():
@@ -281,13 +309,20 @@ def test_cat_grid_that_misses_the_state_writes_no_file(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("xi2, beta, pr_over_beta", [
-    (20.0, 1.0 / 3.0, 7.0), (200.0, 0.05, 100.0), (200.0, 0.05, 130.0)],
-    ids=["reference", "large-100", "large-130"])
-def test_default_cat_grids_pass_the_coverage_check(xi2, beta, pr_over_beta):
-    mu_exact, mu_approx = mu_of_outcome(beta * pr_over_beta, beta, xi2)
+@pytest.mark.parametrize("xi2, beta, p_R", [
+    (20.0, 1.0 / 3.0, 1.0 / 3.0 * 7.0), (200.0, 0.05, 0.05 * 100.0),
+    (200.0, 0.05, 0.05 * 130.0),
+    # grids far past |u| = 37.64, where exp(-u**2/2) is not a normal double
+    (204.28617172296612, 0.005706051814641667, 1.9929594320419217),
+    (2.0, 0.1, 90.0), (150.0, 3.0, 12000.0)],
+    ids=["reference", "large-100", "large-130", "mu-199", "peaks-at-41", "grid-to-97"])
+def test_default_cat_grids_pass_the_coverage_check(xi2, beta, p_R):
+    """The default cat grid passes `_check_coverage`, and the cat keeps its
+    Riemann norm**2 in p and x to 1e-12 before normalization, also on grids
+    to +-62 (mu 199), +-49 (p peaks at +-41) and +-97 (mu 4000)."""
+    mu_exact, mu_approx = mu_of_outcome(p_R, beta, xi2)
     n_max = choose_truncation(xi2, beta, max(mu_exact, mu_approx))
-    cat = apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, beta * pr_over_beta)
+    cat = apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, p_R)
     wavefunctions = _expand([(cat, Basis.P), (cat, Basis.X)],
                             default_cat_grid(mu_exact, beta, effective_max_index(cat)))
     _check_coverage(wavefunctions)
@@ -371,6 +406,59 @@ def test_default_cat_grid_stays_within_its_cap(xi2, beta, p_R):
     n_eff = effective_max_index(apply_number_qnd(squeezed_state_exact(xi2, n_max), beta, p_R))
     grid = default_cat_grid(mu_exact, beta, n_eff)
     assert 0.0 < mu_exact and grid.half_width <= math.sqrt(2.0 * n_eff + 1.0) + 8.0
+
+
+LOG_FLOOR = math.log(1e-300)
+
+
+def squeezed_qnd_log_norm(xi2: float, beta: float, p_R: float, n_max: int) -> float:
+    """log of the norm of c_n exp(-(beta*n - p_R)**2 / 2) over even
+    n <= n_max, c the normalized squeezed coefficients,
+    c_n**2 ~ r**n n! / ((n/2)!)**2 with r = (xi2-1)/(2(xi2+1)), summed in
+    logs from `math.lgamma`."""
+    n = np.arange(0, n_max + 1, 2, dtype=float)
+    log_c2 = n * math.log((xi2 - 1.0) / (2.0 * (xi2 + 1.0))) + np.array(
+        [math.lgamma(k + 1.0) - 2.0 * math.lgamma(k / 2.0 + 1.0) for k in n])
+    log_w = log_c2 - (beta * n - p_R) ** 2
+
+    def log_sum_exp(a):
+        return a.max() + math.log(math.fsum(np.exp(a - a.max())))
+    return 0.5 * (log_sum_exp(log_w) - log_sum_exp(log_c2))
+
+
+def formula_exit_code(xi2: float, beta: float, p_R: float) -> int:
+    """The exit code of `cat --xi2 --beta --pr`, without running it: 3 where
+    the truncation the rules require, the larger of the tail bound (the
+    smallest even 2m with q**(m+1) < 1e-10, q = ((xi2-1)/(xi2+1))**2) and
+    mu_max + 10/beta (mu_max = p_R/beta > 0), rounded up to even, passes
+    4096; 4 where the conditioned log-norm at that truncation is below
+    log(1e-300); 0 everywhere else."""
+    q = ((xi2 - 1.0) / (xi2 + 1.0)) ** 2
+    required = max(2, 2 * math.floor(math.log(1e-10) / math.log(q)),
+                   math.ceil(p_R / beta + 10.0 / beta) if p_R > 0.0 else 0)
+    required += required % 2
+    if required > 4096:
+        return 3
+    log_norm = squeezed_qnd_log_norm(xi2, beta, p_R, required)
+    assert abs(log_norm - LOG_FLOOR) > 1.0  # no rounding of the sums moves the code
+    return 4 if log_norm < LOG_FLOOR else 0
+
+
+@pytest.mark.parametrize("xi2", [1.5, 2.0, 5.0, 20.0, 60.0, 150.0])
+def test_cat_exit_code_follows_from_formulas(tmp_path, capsys, xi2):
+    """At 5 beta and 16 outcomes each, p_R = 0 and 15 log-spaced from beta/2
+    to beta*(40 xi2 + 20/beta), and at three outcomes around the 1e-300
+    floor (xi2 = 2, beta = 0.1), `cat` exits with `formula_exit_code`: a
+    ResolutionError on a default grid is a fault of the package, never an
+    expected outcome."""
+    for beta in (0.01, 0.1, 1.0 / 3.0, 1.0, 3.0):
+        outcomes = [0.0, *np.geomspace(beta / 2.0, beta * (40.0 * xi2 + 20.0 / beta), 15)]
+        if (xi2, beta) == (2.0, 0.1):
+            outcomes += [125.0, 130.0, 140.0]
+        for p_R in map(float, outcomes):
+            code, _, err = run_cli(capsys, "cat", "--xi2", repr(xi2), "--beta", repr(beta),
+                                   "--pr", repr(p_R), "--out-dir", str(tmp_path))
+            assert code == formula_exit_code(xi2, beta, p_R), (beta, p_R, err)
 
 
 def test_cat_improbable_outcome_exit_code(tmp_path, capsys):
@@ -629,15 +717,6 @@ def test_feasibility_presets(tmp_path, capsys):
     assert json.loads((tmp_path / "feasibility_report.json").read_text()) == report
 
 
-def test_feasibility_rejects_bad_kappa0(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "feasibility", "--kappa0", "-1",
-                           "--gamma", "1", "--delta", "100",
-                           "--n-atoms", "1000", "--n-photons", "1e6",
-                           "--out-dir", str(tmp_path))
-    assert code == 2
-    assert "kappa0" in err
-
-
 def test_feasibility_aggregates_config_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "feasibility", "--kappa0", "-1",
                            "--gamma", "-2", "--delta", "100",
@@ -683,10 +762,10 @@ def test_feasibility_value_past_a_bound_is_a_config_error(tmp_path, capsys, name
                                     {"delta": "10", "gamma": "1"}],
                          ids=["n_atoms-1", "transmission-1", "delta-10-gamma"])
 def test_feasibility_inclusive_bounds_are_feasible(tmp_path, capsys, values):
-    code, out, _ = run_cli(capsys, "feasibility", *feasibility_flags(**values),
-                           "--out-dir", str(tmp_path))
     """The inclusive edges n_atoms = 1, transmission = 1 and delta =
     10*gamma are inside the bounds."""
+    code, out, _ = run_cli(capsys, "feasibility", *feasibility_flags(**values),
+                           "--out-dir", str(tmp_path))
     assert code == 0
     inputs = stdout_json(out)["report"]["inputs"]
     assert all(inputs[name] == float(value) for name, value in values.items())

@@ -15,7 +15,7 @@ import pytest
 
 from helpers import GOLDEN, load_regenerate, raise_statements, traced_lines, traced_manifest
 from spincat.cli import EXIT_CONFIG, EXIT_NUMERIC, main
-from spincat.state import Basis, QuadratureWavefunction
+from spincat.state import Basis, QuadratureGrid, QuadratureWavefunction
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +46,16 @@ CHECKING_ENTRY_POINTS = ("spincat.cli.main",)
 
 def make_refused_calls(tmp_path, monkeypatch, capsys):
     """The refusals that no manifest command reaches, each through
-    `spincat.cli.main`: the two guards against faults of the package itself,
-    each shown a fault that a monkeypatch puts in, and an output name that
-    is an existing directory."""
+    `spincat.cli.main`: the three guards against faults of the package
+    itself, each shown a fault that a monkeypatch puts in, and an output
+    name that is an existing directory."""
+    with monkeypatch.context() as patched:  # a squeeze grid that cuts off the state
+        patched.setattr("spincat.cli.grid_for_state", lambda state: QuadratureGrid(3.0, 256))
+        assert main(["squeeze", "--xi2", "20", "--out-dir", str(tmp_path / "squeeze")]) \
+            == EXIT_NUMERIC
+    assert json.loads(capsys.readouterr().err)["kind"] == "ResolutionError"
+    assert not (tmp_path / "squeeze").exists()
+
     with monkeypatch.context() as patched:  # a cat approximation that is not even
         patched.setattr("spincat.cat.approx_p_wavefunction", lambda mu, beta, grid:
                         QuadratureWavefunction(grid, np.arange(grid.count, dtype=float),
@@ -126,7 +133,8 @@ def test_compare_reports_each_kind_of_difference(tmp_path, capsys):
         "lines: stderr: 1 of 1 lines differ",
         "new: added",
         "same: files/extra.csv: added",
-        "wave: files/cat_p.csv: max |delta| 0.25 of the peak 1, in 2 of 3 rows, coord -1 to 1",
+        "wave: files/cat_p.csv: max |delta| 0.25 of the peak 1, in 2 of 3 rows, coord -1 to 1, "
+        "|coord| >= 1",
     ]
     assert regenerate.compare(str(old), str(new)) == expected
     assert regenerate.main(["--compare", str(old), str(new)]) == 1

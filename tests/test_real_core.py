@@ -3,10 +3,12 @@
 The expansions are bitwise those of `reference_expansions`, which adds one
 complex term at a time on every grid point, so `_expand`'s half-grid
 mirror, its x-basis sign flips and its one pass for several pairs are all
-under test.  The QND step, norms, sums and inner products reduce in a
-different order than their oracles (a plain-array QND step, exactly
-rounded sums, long-double moments): the results may differ in the last
-bits, within the bounds below, and nowhere else.
+under test; past |u| = 37.64, where the reference's seed underflows, they
+are checked against the long-double recurrence instead.  The QND step,
+norms, sums and inner products reduce in a different order than their
+oracles (a plain-array QND step, exactly rounded sums, long-double
+moments): the results may differ in the last bits, within the bounds
+below, and nowhere else.
 """
 
 import math
@@ -18,8 +20,10 @@ import pytest
 from helpers import (
     general_apply_number_qnd,
     longdouble_quadrature_variances,
+    longdouble_sums,
     normalized,
     reference_expansions,
+    x_coefficients,
 )
 from spincat.cat import analyze_cat, compute_cat_metrics
 from spincat.protocol import quadrature_variances, squeezed_state_exact, squeezed_state_stirling
@@ -29,6 +33,7 @@ from spincat.state import (
     QuadratureWavefunction,
     _expand,
     choose_truncation,
+    effective_max_index,
     grid_for_state,
 )
 
@@ -36,6 +41,7 @@ TOL_VALUES = 1e-15      # of the peak |value|
 TOL_AMPLITUDES = 1e-15  # relative, per amplitude
 TOL_METRICS = 1e-14     # relative, per metric
 TOL_MOMENTS = 1e-15     # of dp2
+TOL_FAR = 1e-12         # of the peak |value|, against the long-double rows
 
 
 def close(a: float, b: float, rel: float) -> bool:
@@ -78,15 +84,29 @@ def test_cat_against_oracles(xi2, beta, pr_over_beta):
             assert got == value, key
 
 
-@pytest.mark.parametrize("xi2", [20.0, 150.0])
+@pytest.mark.parametrize("xi2", [20.0, 150.0, 215.0])
 def test_squeeze_against_oracles(xi2):
+    """Where the plain seed exp(-u**2/2) is a normal double the expansions
+    are bitwise the reference; past |u| = 37.64, where it is not, they agree
+    with the long-double recurrence to TOL_FAR of the peak."""
     n_max = choose_truncation(xi2, 1.0, 0.0)
     exact = squeezed_state_exact(xi2, n_max)
     stirling = squeezed_state_stirling(xi2, n_max)
     grid = grid_for_state(exact)
     pairs = [(state, basis) for state in (exact, stirling) for basis in (Basis.P, Basis.X)]
-    for wf, values in zip(_expand(pairs, grid), real_references(pairs, grid)):
-        assert wf.values.tobytes() == values.tobytes()
+    u = grid.points()
+    near = np.exp(-u * u / 2.0) >= np.finfo(float).tiny
+    far = ~near & (u > 0.0)  # the far points of the upper half; the lower is its mirror
+    columns = []
+    for state, basis in pairs:
+        coeffs = state.amplitudes[:effective_max_index(state) + 1]
+        columns.append(x_coefficients(coeffs) if basis is Basis.X else coeffs)
+    wavefunctions = _expand(pairs, grid)
+    for wf, values, far_values in zip(wavefunctions, real_references(pairs, grid),
+                                      longdouble_sums(columns, u[far])):
+        assert wf.values[near].tobytes() == values[near].tobytes()
+        peak = np.abs(wf.values).max()
+        assert np.abs(wf.values[far] - far_values).max(initial=0.0) <= TOL_FAR * peak
 
     dx2, dp2 = quadrature_variances(exact)
     ref_dx2, ref_dp2 = longdouble_quadrature_variances(exact)

@@ -17,7 +17,7 @@ from helpers import (
     squeezed_tail_mass,
 )
 from spincat.cat import approx_p_wavefunction, approx_x_wavefunction
-from spincat.errors import CapacityError, DomainError
+from spincat.errors import CapacityError
 from spincat.io import format_coords, write_number_state_csv, write_wavefunction_csv
 from spincat.protocol import (
     apply_number_qnd,
@@ -31,8 +31,8 @@ from spincat.state import (
     QuadratureGrid,
     QuadratureWavefunction,
     RandomSource,
+    _TRUNCATION_CAP,
     _expand,
-    _hermite_rows,
     choose_truncation,
     default_cat_grid,
     effective_max_index,
@@ -85,11 +85,6 @@ def test_eigenfunction_matches_direct_formula(n, u):
     assert eigenfunction(n, u) == pytest.approx(direct, abs=1e-10)
 
 
-def test_eigenfunction_budget_and_domain_errors():
-    with pytest.raises(DomainError, match="budget 2000"):
-        eigenfunction(2001, 0.0)
-
-
 def test_orthonormality_riemann():
     half = np.sqrt(2.0 * 61.0) + 8.0
     grid = QuadratureGrid(half, 2048)
@@ -98,12 +93,19 @@ def test_orthonormality_riemann():
     assert np.max(np.abs(gram - np.eye(61))) < 1e-8
 
 
-def test_eigenfunctions_normalized_up_to_n_700():
-    """`_hermite_rows` promises integral phi_n**2 = 1 to 1e-9 for n <= 700."""
-    grid = QuadratureGrid(50.0, 8192)
-    norms = np.array([np.sum(row * row) * grid.spacing
-                      for row in _hermite_rows(700, grid.points())])
-    assert np.max(np.abs(norms - 1.0)) < 1e-9
+def test_eigenfunctions_normalized_up_to_n_4096():
+    """`_expand`'s rows keep integral phi_n**2 = 1 to 1e-10 for every even n
+    up to the truncation cap, out to |u| = 100, where the plain seed
+    exp(-u**2/2) is 0: the rows are the expansions of unit states, 128
+    states a pass to bound the memory."""
+    grid = QuadratureGrid(100.0, 2 ** 15)
+    levels = range(0, _TRUNCATION_CAP + 1, 2)
+    norms = []
+    for start in range(0, len(levels), 128):
+        units = [NumberState(np.eye(1, n + 1, n)[0]) for n in levels[start:start + 128]]
+        norms += [np.sum(wf.values ** 2) * grid.spacing
+                  for wf in _expand([(unit, Basis.P) for unit in units], grid)]
+    assert len(norms) == 2049 and np.max(np.abs(np.array(norms) - 1.0)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +431,10 @@ def test_wavefunction_csv_round_trip(tmp_path):
 def test_effective_max_index_drops_at_most_its_bound():
     """The mass past n_eff that the 1e-12 cut drops is at most
     (n_max - n_eff) * (1e-12 * peak)**2, against the dropped squares summed
-    exactly in fractions, for squeezes from xi2 1 to 173.5 (the last whose
-    occupancy HERMITE_N_BUDGET takes) and a seeded cat draw."""
+    exactly in fractions, for squeezes from xi2 1 to 215 and a seeded cat
+    draw."""
     squeezes = [squeezed_state_exact(xi2, choose_truncation(xi2, 1.0, 0.0))
-                for xi2 in np.geomspace(1.0, 173.5, 25)]
+                for xi2 in np.geomspace(1.0, 215.0, 25)]
     reference = squeezed_state_exact(20.0, choose_truncation(20.0, 1.0 / 3.0, 0.0))
     p_R = sample_second_outcome(reference, 1.0 / 3.0, RandomSource(7))
     for state in (*squeezes, apply_number_qnd(reference, 1.0 / 3.0, p_R)):
